@@ -28,9 +28,6 @@ from __future__ import annotations
 import os
 
 from ..datasets.generators import PROFILES
-from ..query.executor import Executor
-from ..query.sql import parse as parse_sql
-from ..server.service import render_chart
 from ..shard import open_store
 from ..storage.config import StorageConfig
 from ..storage.engine import StorageEngine
@@ -61,13 +58,8 @@ def _fingerprints(engine, plan):
     """``{series: (rows, pbm)}`` — the byte-identity evidence."""
     out = {}
     for name, _dataset in plan:
-        if getattr(engine, "is_sharded", False):
-            table = engine.execute_sql(_identity_sql(name))
-            matrix, _ = engine.render_series(name, _WIDTH, _HEIGHT)
-        else:
-            table = Executor(engine).execute(
-                parse_sql(_identity_sql(name)))
-            matrix, _ = render_chart(engine, name, _WIDTH, _HEIGHT)
+        table = engine.execute_sql(_identity_sql(name))
+        matrix, _ = engine.render_series(name, _WIDTH, _HEIGHT)
         out[name] = (tuple(table.rows), to_pbm(matrix))
     return out
 

@@ -50,10 +50,6 @@ import sys
 from .datasets.generators import PROFILES
 from .datasets.loader import load_csv, save_csv
 from .errors import ReproError
-from .query.executor import Executor
-from .query.sql import parse as parse_sql
-from .storage.compaction import compact_all
-from .storage.engine import StorageEngine
 
 
 def _add_parallelism(subparser):
@@ -84,17 +80,13 @@ def _add_shards(subparser):
 def _open_store(args, config, must_exist=True):
     """Open ``args.db`` honouring ``--shards`` and pinned topology.
 
-    Returns a plain :class:`StorageEngine` (one shard) or a
+    Returns a plain ``StorageEngine`` (one shard) or a
     :class:`~repro.shard.router.ShardRouter` — both context managers
-    with the facade surface the commands use.
+    answering the same store surface, so no command asks which.
     """
     from .shard import open_store
     path = _require_store(args.db) if must_exist else args.db
     return open_store(path, config, shards=getattr(args, "shards", None))
-
-
-def _is_sharded(engine):
-    return bool(getattr(engine, "is_sharded", False))
 
 
 def build_parser():
@@ -500,6 +492,7 @@ def _cmd_load(args):
     directory if needed; returns 0.  A malformed CSV raises
     :class:`~repro.errors.ReproError` (caught in :func:`main`).
     """
+    from .shard import shard_of
     t, v = load_csv(args.csv)
     config = _engine_config(
         args, avg_series_point_number_threshold=args.chunk_points)
@@ -507,12 +500,9 @@ def _cmd_load(args):
         engine.create_series(args.series)
         engine.write_batch(args.series, t, v)
         engine.flush_all()
-        if _is_sharded(engine):
-            chunks = engine.chunk_count(args.series)
-            where = " on shard %02d" % engine.series_shard(args.series)
-        else:
-            chunks = len(engine.chunks_for(args.series))
-            where = ""
+        chunks = engine.chunk_count(args.series)
+        where = " on shard %02d" % shard_of(args.series, engine.n_shards) \
+            if engine.n_shards > 1 else ""
     print("loaded %d points into %s (%d chunks%s)"
           % (t.size, args.series, chunks, where))
     return 0
@@ -528,37 +518,20 @@ def _cmd_info(args):
         if engine.recovery_summary:
             print("recovered: %s" % engine.recovery_summary)
         engine.flush_all()
-        sharded = _is_sharded(engine)
-        if sharded:
+        if engine.n_shards > 1:
             print("sharded store: %d shards" % engine.n_shards)
         print("%-30s %8s %8s %8s %22s" % ("series", "points", "chunks",
                                           "deletes", "time range"))
-        if sharded:
-            rows, down = engine.series_info()
-            for row in rows:
-                time_range = "(empty)" if row["chunks"] == 0 else \
-                    "[%d, %d]" % (row["start_time"], row["end_time"])
-                print("%-30s %8d %8d %8d %22s"
-                      % (row["name"], row["points"], row["chunks"],
-                         row["deletes"], time_range))
-            if down:
-                print("warning: shard(s) down, listing incomplete: %s"
-                      % ", ".join("%02d" % s for s in down))
-        else:
-            for name in sorted(engine.series_names()):
-                chunks = engine.chunks_for(name)
-                deletes = engine.deletes_for(name)
-                if chunks:
-                    lo = min(c.start_time for c in chunks)
-                    hi = max(c.end_time for c in chunks)
-                    time_range = "[%d, %d]" % (lo, hi)
-                    points = sum(c.n_points for c in chunks)
-                else:
-                    time_range = "(empty)"
-                    points = 0
-                print("%-30s %8d %8d %8d %22s"
-                      % (name, points, len(chunks), len(deletes),
-                         time_range))
+        rows, down = engine.series_info()
+        for row in rows:
+            time_range = "(empty)" if row["chunks"] == 0 else \
+                "[%d, %d]" % (row["start_time"], row["end_time"])
+            print("%-30s %8d %8d %8d %22s"
+                  % (row["name"], row["points"], row["chunks"],
+                     row["deletes"], time_range))
+        if down:
+            print("warning: shard(s) down, listing incomplete: %s"
+                  % ", ".join("%02d" % s for s in down))
     return 0
 
 
@@ -571,22 +544,17 @@ def _cmd_query(args):
     """
     with _open_store(args, _engine_config(args)) as engine:
         engine.flush_all()
-        if _is_sharded(engine):
-            if args.explain:
-                print("error: --explain needs a single engine (run it "
-                      "against one shard-NN directory)",
-                      file=sys.stderr)
-                return 1
-            table = engine.execute_sql(args.sql)
-            print(table.pretty(max_rows=args.max_rows))
-            return 0
-        executor = Executor(engine)
-        parsed = parse_sql(args.sql)
-        if args.explain:
-            table, trace = executor.explain(parsed, statement=args.sql)
+        if not args.explain:
+            table, trace = engine.execute_sql(args.sql), None
+        elif engine.n_shards > 1:
+            # The span tree and solver trace live in the worker process.
+            raise ReproError("--explain needs a single engine (run it "
+                             "against one shard-NN directory)")
         else:
-            table, trace = executor.execute(parsed,
-                                            statement=args.sql), None
+            from .query.executor import Executor
+            from .query.sql import parse as parse_sql
+            table, trace = Executor(engine).explain(parse_sql(args.sql),
+                                                    statement=args.sql)
         print(table.pretty(max_rows=args.max_rows))
         if args.explain:
             root = engine.tracer.last_root
@@ -603,23 +571,16 @@ def _cmd_query(args):
 def _cmd_render(args):
     """``repro render``: reduce + rasterize a series (ASCII or PBM).
 
-    Shares :func:`~repro.server.service.render_chart` with
-    ``GET /render``, so CLI and server pixels are byte-identical —
-    with ``--tile-cache`` the chart is stitched from cached M4 tiles.
+    Shares ``engine.render_series`` with ``GET /render``, so CLI and
+    server pixels are byte-identical — with ``--tile-cache`` the chart
+    is stitched from cached M4 tiles.
     Returns 0; an empty series raises :class:`~repro.errors.ReproError`.
     """
-    from .server.service import render_chart
     from .viz.chart import save_pbm, to_ascii
     with _open_store(args, _engine_config(args)) as engine:
         engine.flush_all()
-        # Shared with GET /render, so server output is byte-identical
-        # (the sharded path runs the same render_chart on the owner).
-        if _is_sharded(engine):
-            matrix, _result = engine.render_series(
-                args.series, args.width, args.height)
-        else:
-            matrix, _result = render_chart(engine, args.series,
-                                           args.width, args.height)
+        matrix, _result = engine.render_series(args.series, args.width,
+                                               args.height)
         if args.out:
             save_pbm(matrix, args.out)
             print("wrote %dx%d PBM to %s" % (args.width, args.height,
@@ -633,23 +594,15 @@ def _cmd_stats(args):
     """``repro stats``: print the observability snapshot (text, JSON
     or Prometheus exposition).  ``--probe SERIES`` first runs one
     M4-LSM query so a cold store still shows non-zero counters.
-    Returns 0, or 1 when the probe series is empty.
+    Returns 0, or 1 when the probe series is unknown or empty.  On a
+    sharded store the snapshot is the router's merge of every shard.
     """
-    from .core.m4lsm import M4LSMOperator
     from .obs import render_text, to_json, to_prometheus
-    with StorageEngine(_require_store(args.db),
-                       _engine_config(args)) as engine:
+    with _open_store(args, _engine_config(args)) as engine:
         if args.probe:
             engine.flush_all()
-            chunks = engine.chunks_for(args.probe)
-            if not chunks:
-                print("error: series %r is empty" % args.probe,
-                      file=sys.stderr)
-                return 1
-            t_qs = min(c.start_time for c in chunks)
-            t_qe = max(c.end_time for c in chunks) + 1
-            M4LSMOperator(engine).query(args.probe, t_qs, t_qe,
-                                        args.probe_w)
+            engine.execute_sql(_probe_sql(engine, args.probe,
+                                          args.probe_w))
         snapshot = engine.observability_snapshot()
     if args.format == "json":
         print(to_json(snapshot))
@@ -670,6 +623,7 @@ def _cmd_fsck(args):
     import json as json_module
 
     from .storage.fsck import fsck_store
+    # A sharded root is walked shard by shard inside fsck_store.
     report = fsck_store(_require_store(args.db),
                         quarantine=args.quarantine,
                         verify_pages=not args.no_pages)
@@ -686,10 +640,9 @@ def _cmd_compact(args):
     sequence, dropping deleted/overwritten points (and invalidating
     any cached tiles).  Prints surviving point counts; returns 0.
     """
-    with StorageEngine(_require_store(args.db),
-                       _engine_config(args)) as engine:
+    with _open_store(args, _engine_config(args)) as engine:
         engine.flush_all()
-        counts = compact_all(engine)
+        counts = engine.compact()
     for name, survivors in sorted(counts.items()):
         print("%s: %d points" % (name, survivors))
     return 0
@@ -747,7 +700,7 @@ def _cmd_serve(args):
                                  else "")
     elif args.replicate_to:
         role = " [primary -> %s]" % ", ".join(args.replicate_to)
-    if _is_sharded(engine):
+    if engine.n_shards > 1:
         role += " [%d shards]" % engine.n_shards
     print("serving %s on http://%s:%d%s (workers=%d queue=%d "
           "timeout=%.1fs); Ctrl-C to drain and stop"
@@ -898,25 +851,15 @@ def _cmd_ingest(args):
     return 0 if errors == 0 else 1
 
 
-def _probe_target(engine, series, what="probe"):
-    """``(name, t_qs, t_qe)`` for a local probe query."""
-    names = [series] if series else sorted(engine.series_names())
-    for name in names:
-        chunks = engine.chunks_for(name)
-        if chunks:
-            return (name, min(c.start_time for c in chunks),
-                    max(c.end_time for c in chunks) + 1)
+def _probe_sql(engine, series, w, what="probe"):
+    """A full-range M4 statement over ``series`` (default: the first
+    series with data) — the query a dashboard would send."""
+    for row in engine.series_info()[0]:
+        if row["chunks"] and series in (None, row["name"]):
+            return "SELECT M4(v) FROM %s GROUP BY SPANS(%d)" \
+                % (row["name"], w)
     raise ReproError("no series with data to %s (asked for %r)"
                      % (what, series or "any"))
-
-
-def _probe_operator(engine):
-    """The operator a server would use: tiled when the cache is on."""
-    if getattr(engine, "tile_cache", None) is not None:
-        from .core.tiles import TiledM4Operator
-        return TiledM4Operator(engine)
-    from .core.m4lsm import M4LSMOperator
-    return M4LSMOperator(engine)
 
 
 def _render_trace_node(node, indent=0):
@@ -990,21 +933,19 @@ def _cmd_trace(args):
               file=sys.stderr)
         return 1
     from .obs import make_traceparent, parse_traceparent, to_chrome_trace
-    with StorageEngine(_require_store(args.db),
-                       _engine_config(args)) as engine:
+    with _open_store(args, _engine_config(args)) as engine:
         if not engine.tracer.enabled:
             print("error: store was opened with metrics disabled",
                   file=sys.stderr)
             return 1
         engine.flush_all()
-        name, t_qs, t_qe = _probe_target(engine, args.series,
-                                         what="trace")
+        sql = _probe_sql(engine, args.series, args.w, what="trace")
         ctx = parse_traceparent(make_traceparent(sampled=True))
         root = engine.tracer.root_span("request", endpoint="probe",
                                        request_id="probe",
                                        trace_id=ctx.trace_id)
         with root:
-            _probe_operator(engine).query(name, t_qs, t_qe, args.w)
+            engine.execute_sql(sql)
         entry = engine.traces.record(root, ctx.trace_id, "probe",
                                      "probe", 200, sampled=True)
         print(root.render())
@@ -1040,18 +981,16 @@ def _cmd_profile(args):
         samples = result.get("profile", {}).get("samples", 0)
     elif args.db:
         from .obs import SamplingProfiler
-        with StorageEngine(_require_store(args.db),
-                           _engine_config(args)) as engine:
+        with _open_store(args, _engine_config(args)) as engine:
             engine.flush_all()
-            name, t_qs, t_qe = _probe_target(engine, args.series,
-                                             what="profile")
-            operator = _probe_operator(engine)
+            sql = _probe_sql(engine, args.series, args.w,
+                             what="profile")
             profiler = SamplingProfiler(
                 interval=args.interval_ms / 1000.0)
             profiler.start()
             end = time_module.monotonic() + max(args.seconds, 0.0)
             while time_module.monotonic() < end:
-                operator.query(name, t_qs, t_qe, args.w)
+                engine.execute_sql(sql)
             collapsed = profiler.stop()
             samples = profiler.stats()["samples"]
     else:

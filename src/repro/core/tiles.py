@@ -596,3 +596,13 @@ class TiledM4Operator:
         """EXPLAIN path: always uncached (the trace describes the
         solver's work, which a cache hit would hide)."""
         return self._inner.query_traced(series_name, t_qs, t_qe, w)
+
+
+def m4_operator(engine, degraded=None):
+    """The M4-LSM operator a query on ``engine`` runs: tiled when the
+    engine's tile cache is on, plain otherwise (byte-identical answers;
+    the Executor, ``render_chart`` and ``/live`` deltas all choose here).
+    """
+    if getattr(engine, "tile_cache", None) is not None:
+        return TiledM4Operator(engine, degraded=degraded)
+    return M4LSMOperator(engine, degraded=degraded)

@@ -14,6 +14,7 @@ import time
 
 from ..core.m4 import M4UDFOperator
 from ..core.m4lsm import M4LSMOperator
+from ..core.tiles import m4_operator
 from ..errors import QueryError
 from ..obs import tracer_of
 from .sql import ParsedQuery
@@ -144,13 +145,7 @@ class Executor:
     def _operator(self, name):
         if name == "m4udf":
             return M4UDFOperator(self._engine, degraded=self._degraded)
-        if getattr(self._engine, "tile_cache", None) is not None:
-            # Byte-identical to the plain operator; eligible viewports
-            # stitch from cached tiles (strict/degraded overrides that
-            # differ from the engine default bypass internally).
-            from ..core.tiles import TiledM4Operator
-            return TiledM4Operator(self._engine, degraded=self._degraded)
-        return M4LSMOperator(self._engine, degraded=self._degraded)
+        return m4_operator(self._engine, self._degraded)
 
     def _resolve_range(self, parsed):
         t_qs, t_qe = parsed.t_qs, parsed.t_qe

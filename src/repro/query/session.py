@@ -16,8 +16,6 @@ from ..core.m4 import M4UDFOperator
 from ..core.m4lsm import M4LSMOperator
 from ..storage.config import DEFAULT_CONFIG
 from ..storage.engine import StorageEngine
-from .executor import Executor
-from .sql import parse
 
 
 class Session:
@@ -26,7 +24,6 @@ class Session:
     def __init__(self, data_dir, config=DEFAULT_CONFIG, engine=None):
         self._engine = engine if engine is not None \
             else StorageEngine(data_dir, config)
-        self._executor = Executor(self._engine)
 
     @property
     def engine(self):
@@ -82,8 +79,7 @@ class Session:
         latest data (matching IoTDB's read-your-writes behaviour).
         """
         self._engine.flush_all()
-        return self._executor.execute(parse(statement),
-                                      statement=statement)
+        return self._engine.execute_sql(statement)
 
     def query_m4(self, series, t_qs, t_qe, w, operator="m4lsm"):
         """Direct M4 query; returns :class:`repro.core.result.M4Result`."""

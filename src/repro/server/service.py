@@ -49,9 +49,9 @@ from ..obs import (
     to_chrome_trace,
     to_prometheus,
 )
-from ..query.executor import Executor
-from ..query.sql import parse as parse_sql
-from ..storage.deadline import Deadline, check_deadline
+from ..query.render import render_chart  # noqa: F401  (re-export: perf/, tests)
+from ..query.render import spans_as_json
+from ..storage.deadline import Deadline, sleep_checked
 from .admission import AdmissionController
 
 _JSON = "application/json"
@@ -126,64 +126,11 @@ class Response:
     headers: dict = dataclasses.field(default_factory=dict)
 
 
-def render_chart(engine, series, width, height, t_qs=None, t_qe=None,
-                 degraded=None):
-    """The shared render pipeline: M4-LSM reduce, then rasterize.
-
-    Used verbatim by both ``repro render`` and ``GET /render`` so the
-    two surfaces are byte-identical by construction.  Returns
-    ``(matrix, result)``: the binary pixel matrix and the
-    :class:`~repro.core.result.M4Result` it was drawn from.
-
-    ``degraded`` is passed through to the operator (``None`` follows
-    the engine config); a fully-skipped series renders an empty chart
-    rather than crashing on the empty value range.
-    """
-    from ..core.m4lsm import M4LSMOperator
-    from ..viz.raster import PixelGrid, rasterize
-    chunks = engine.chunks_for(series)
-    if not chunks:
-        raise QueryError("series %r is empty" % series)
-    if t_qs is None:
-        t_qs = min(c.start_time for c in chunks)
-    if t_qe is None:
-        t_qe = max(c.end_time for c in chunks) + 1
-    if getattr(engine, "tile_cache", None) is not None:
-        from ..core.tiles import TiledM4Operator
-        operator = TiledM4Operator(engine, degraded=degraded)
-    else:
-        operator = M4LSMOperator(engine, degraded=degraded)
-    result = operator.query(series, int(t_qs), int(t_qe), int(width))
-    reduced = result.to_series()
-    if len(reduced):
-        v_lo, v_hi = float(reduced.values.min()), \
-            float(reduced.values.max())
-    else:
-        v_lo, v_hi = 0.0, 1.0  # every chunk skipped: blank canvas
-    grid = PixelGrid(int(t_qs), int(t_qe), v_lo, v_hi,
-                     int(width), int(height))
-    return rasterize(reduced, grid), result
-
-
 def _degraded_warning(ranges):
     """The human-readable warning attached to a degraded response."""
     return ("degraded result: %d damaged chunk range(s) skipped (%s)"
             % (len(ranges),
                ", ".join("[%d, %d)" % (s, e) for s, e in ranges)))
-
-
-def _spans_as_json(result):
-    """Per-pixel-column representation points, empty spans skipped."""
-    spans = []
-    for i, span in enumerate(result.spans):
-        if span.is_empty():
-            continue
-        spans.append({"span": i,
-                      "first": [span.first.t, span.first.v],
-                      "last": [span.last.t, span.last.v],
-                      "bottom": [span.bottom.t, span.bottom.v],
-                      "top": [span.top.t, span.top.v]})
-    return spans
 
 
 class QueryService:
@@ -199,20 +146,15 @@ class QueryService:
     def __init__(self, engine, config=None):
         self._engine = engine
         self._config = config if config is not None else ServerConfig()
-        # A ShardRouter engine turns this service into the stateless
-        # scatter-gather tier: SQL/render route to owning shards,
-        # series/stats/healthz aggregate across them.
-        self._sharded = bool(getattr(engine, "is_sharded", False))
-        if self._sharded and (self._config.standby
-                              or self._config.replicate_to):
+        # ``engine`` is whatever ``open_store`` returned: one engine
+        # or a ShardRouter (this service is then the stateless
+        # scatter-gather tier); both answer the same calls.
+        if engine.n_shards > 1 and (self._config.standby
+                                    or self._config.replicate_to):
             raise ValueError(
                 "replication and a sharded store cannot be combined on "
                 "one node; run one replicated pair per shard instead "
                 "(docs/OPERATIONS.md)")
-        # Strict servers disable degraded reads outright: a checksum
-        # failure surfaces as a 500 instead of a flagged 200.
-        self._executor = None if self._sharded else Executor(
-            engine, degraded=False if self._config.strict else None)
         self._metrics = engine.metrics
         self._tracer = engine.tracer
         self._ids = itertools.count(1)
@@ -317,24 +259,14 @@ class QueryService:
         trace = self._trace_context(headers)
         sleep_s = self._debug_sleep(payload)
         strict = self._strict(payload)
-        executor = None if self._sharded else \
-            self._request_executor(payload)
 
         def run():
-            slow_info = {"request_id": rid, "endpoint": "query",
-                         "trace_id": trace.trace_id}
-            if self._sharded:
-                # The debug sleep runs worker-side so tests can drive a
-                # deadline expiry across the shard pipe, not just here.
-                table = self._engine.execute_sql(
-                    sql, strict=strict, slow_info=slow_info,
-                    debug_sleep_s=sleep_s)
-            else:
-                if sleep_s:
-                    self._sleep_checked(sleep_s)
-                parsed = parse_sql(sql)
-                table = executor.execute(parsed, statement=sql,
-                                         slow_info=slow_info)
+            # The debug sleep runs engine-side so tests can drive a
+            # deadline expiry across the shard pipe, not just here.
+            table = self._engine.execute_sql(
+                sql, strict=strict, debug_sleep_s=sleep_s,
+                slow_info={"request_id": rid, "endpoint": "query",
+                           "trace_id": trace.trace_id})
             body = {
                 "request_id": rid,
                 "columns": list(table.columns),
@@ -381,21 +313,16 @@ class QueryService:
 
         def run():
             if sleep_s:
-                self._sleep_checked(sleep_s)
+                sleep_checked(sleep_s)
             started = time.perf_counter()
-            if self._sharded:
-                try:
-                    matrix, result = self._engine.render_series(
-                        series, width, height, strict=strict)
-                except ShardDownError as exc:
-                    if strict:
-                        raise
-                    return self._shard_down_render(rid, series, width,
-                                                   height, fmt, exc)
-            else:
-                matrix, result = render_chart(
-                    self._engine, series, width, height,
-                    degraded=False if strict else None)
+            try:
+                matrix, result = self._engine.render_series(
+                    series, width, height, strict=strict)
+            except ShardDownError as exc:
+                if strict:
+                    raise
+                return self._shard_down_render(rid, series, width,
+                                               height, fmt, exc)
             self._engine.slow_log.record(
                 "RENDER %s %dx%d" % (series, width, height),
                 time.perf_counter() - started,
@@ -415,7 +342,7 @@ class QueryService:
                 "request_id": rid, "series": series,
                 "width": width, "height": height,
                 "t_qs": result.t_qs, "t_qe": result.t_qe,
-                "spans": _spans_as_json(result),
+                "spans": spans_as_json(result),
                 "degraded": result.degraded}
             if result.degraded:
                 ranges = [[int(s), int(e)] for s, e in result.skipped]
@@ -459,36 +386,15 @@ class QueryService:
         ``shards_down`` with ``degraded: true`` (same contract as a
         degraded query: answer what is answerable, flag the rest).
         """
-        if self._sharded:
-            rows, down = self._engine.series_info()
-            out = [{key: row[key] for key in ("name", "start_time",
-                                              "end_time", "chunks",
-                                              "points")}
-                   for row in rows]
-            body = {"series": out}
-            if down:
-                body["degraded"] = True
-                body["shards_down"] = down
-            self._count("series", 200)
-            return Response(200, _json_bytes(body))
-        out = []
-        for name in sorted(self._engine.series_names()):
-            try:
-                chunks = self._engine.chunks_for(name)
-            except ReproError:
-                continue  # unflushed or racing a writer: skip, not fail
-            if chunks:
-                out.append({
-                    "name": name,
-                    "start_time": min(c.start_time for c in chunks),
-                    "end_time": max(c.end_time for c in chunks),
-                    "chunks": len(chunks),
-                    "points": sum(c.n_points for c in chunks)})
-            else:
-                out.append({"name": name, "start_time": None,
-                            "end_time": None, "chunks": 0, "points": 0})
+        rows, down = self._engine.series_info()
+        body = {"series": [{key: row[key] for key in (
+            "name", "start_time", "end_time", "chunks", "points")}
+            for row in rows]}
+        if down:
+            body["degraded"] = True
+            body["shards_down"] = down
         self._count("series", 200)
-        return Response(200, _json_bytes({"series": out}))
+        return Response(200, _json_bytes(body))
 
     def stats(self, params=None):
         """``GET /stats``: obs snapshot + server section (inline).
@@ -527,7 +433,7 @@ class QueryService:
                 self._config.default_timeout_seconds,
             "strict": self._config.strict,
         }
-        quarantine = getattr(self._engine, "quarantine", None)
+        quarantine = self._engine.quarantine
         if quarantine is not None:
             snapshot["quarantine"] = {
                 "chunks": len(quarantine),
@@ -547,16 +453,17 @@ class QueryService:
         ``"degraded"`` — a stalled queue must be visible, not silent.
         """
         metrics = self._metrics
-        quarantine = getattr(self._engine, "quarantine", None)
+        quarantine = self._engine.quarantine
         queue_wait = metrics.histogram("server_queue_wait_seconds")
         workers = {"ingest-writer": bool(self._ingest.writer_alive
                                          or self._ingest.closed)}
         if self._replication is not None:
             workers.update(self._replication.workers())
-        if self._sharded:
-            # One entry per shard worker process; a dead shard flips
-            # status to "degraded" exactly like a dead ingest writer.
-            workers.update(self._engine.shard_workers())
+        # One entry per shard worker process (none for an in-process
+        # engine); a dead shard flips status to "degraded" exactly
+        # like a dead ingest writer.
+        shards = self._engine.shard_workers()
+        workers.update(shards)
         body = {
             "status": "ok" if all(workers.values()) else "degraded",
             "workers": workers,
@@ -579,10 +486,9 @@ class QueryService:
         }
         if self._replication is not None:
             body["replication_role"] = self._replication.role
-        if self._sharded:
-            body["shards"] = {
-                "total": self._engine.n_shards,
-                "alive": len(self._engine.alive_shards())}
+        if shards:
+            body["shards"] = {"total": len(shards),
+                              "alive": sum(shards.values())}
         return Response(200, _json_bytes(body))
 
     def traces(self, params=None):
@@ -861,16 +767,14 @@ class QueryService:
         return body
 
     def delta_spans(self, series, ranges, span):
-        """Grid-aligned M4 spans over each changed range (sharded:
-        computed on the owning shard; see :func:`compute_delta_spans`
-        for the grid contract)."""
-        if self._sharded:
-            try:
-                return self._engine.delta_spans(series, ranges, span)
-            except ShardDownError as exc:
-                return [{"t_qs": int(lo), "t_qe": int(hi),
-                         "error": str(exc)} for lo, hi in ranges]
-        return compute_delta_spans(self._engine, series, ranges, span)
+        """Grid-aligned M4 spans over each changed range, computed by
+        the engine that owns the series (grid contract:
+        :func:`repro.query.render.compute_delta_spans`)."""
+        try:
+            return self._engine.delta_spans(series, ranges, span)
+        except ShardDownError as exc:
+            return [{"t_qs": int(lo), "t_qe": int(hi),
+                     "error": str(exc)} for lo, hi in ranges]
 
     def _live_timeout(self, timeout_ms):
         """The long-poll wait: default ``live_poll_seconds``, capped
@@ -1086,12 +990,6 @@ class QueryService:
             return value
         return str(value).lower() in ("1", "true", "yes", "on")
 
-    def _request_executor(self, payload):
-        """The shared executor, or a strict one for this request."""
-        if self._strict(payload) and not self._config.strict:
-            return Executor(self._engine, degraded=False)
-        return self._executor
-
     def _debug_sleep(self, params):
         """Seconds of test-only artificial work (0 unless enabled)."""
         if not self._config.debug_hooks:
@@ -1100,53 +998,6 @@ class QueryService:
             return max(float(params.get("sleep_ms", 0)) / 1000.0, 0.0)
         except (TypeError, ValueError):
             return 0.0
-
-    @staticmethod
-    def _sleep_checked(seconds):
-        """Sleep in slices so the request's deadline still cancels it."""
-        end = time.monotonic() + seconds
-        while True:
-            check_deadline()
-            remaining = end - time.monotonic()
-            if remaining <= 0:
-                return
-            time.sleep(min(remaining, 0.01))
-
-
-def compute_delta_spans(engine, series, ranges, span):
-    """Grid-aligned M4 spans over each changed range of ``series``.
-
-    Cells are computed on the absolute ``span``-width grid — the same
-    cell argument as the tile cache — so a client chart on that grid
-    can splice them in and stay byte-identical to a full refetch.  A
-    range the engine cannot answer yet (e.g. memtable racing a flush)
-    reports an ``error`` for that delta instead of failing the poll.
-
-    Module-level (not a service method) because the shard worker runs
-    it against its local engine for routed ``/live`` deltas.
-    """
-    from ..core.m4lsm import M4LSMOperator
-    if getattr(engine, "tile_cache", None) is not None:
-        from ..core.tiles import TiledM4Operator
-        operator = TiledM4Operator(engine)
-    else:
-        operator = M4LSMOperator(engine)
-    deltas = []
-    for lo, hi in ranges:
-        lo_g = (int(lo) // span) * span
-        hi_g = -(-int(hi) // span) * span
-        delta = {"t_qs": lo_g, "t_qe": hi_g}
-        try:
-            result = operator.query(series, lo_g, hi_g,
-                                    (hi_g - lo_g) // span)
-            delta["spans"] = _spans_as_json(result)
-            if result.degraded:
-                delta["skipped_ranges"] = [
-                    [int(s), int(e)] for s, e in result.skipped]
-        except ReproError as exc:
-            delta["error"] = str(exc)
-        deltas.append(delta)
-    return deltas
 
 
 def _json_bytes(obj):

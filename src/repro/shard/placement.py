@@ -33,10 +33,7 @@ import os
 import zlib
 
 from ..errors import StorageError
-from ..storage.config import DEFAULT_CONFIG, StorageConfig
-
-#: Topology file name, relative to the store root.
-TOPOLOGY_FILE = "shards.json"
+from ..storage.config import DEFAULT_CONFIG, TOPOLOGY_FILE, StorageConfig
 
 #: Bumped only with a migration path.
 TOPOLOGY_VERSION = 1

@@ -9,7 +9,7 @@ a clean EOF (peer closed the socket between frames) raises
 
 Requests and responses are plain dicts::
 
-    {"id": 7, "op": "execute", "kwargs": {...}, "deadline_s": 4.2}
+    {"id": 7, "op": "execute_sql", "kwargs": {...}, "deadline_s": 4.2}
     {"id": 7, "ok": True, "result": <object>}
     {"id": 7, "ok": False, "error": {"type": "SeriesNotFoundError",
                                      "message": "..."}}

@@ -119,9 +119,7 @@ class _ShardClient:
             self.dead = True
             self.dead_reason = reason
             pending, self._pending = self._pending, {}
-        error = ShardDownError(
-            "shard %d worker (pid %d) is down: %s"
-            % (self.shard_id, self.pid, reason), shard=self.shard_id)
+        error = self._down_error()
         for waiter in pending.values():
             waiter.error = error
             waiter.event.set()
@@ -130,20 +128,18 @@ class _ShardClient:
         except OSError:
             pass
 
+    def _down_error(self):
+        return ShardDownError(
+            "shard %d worker (pid %d) is down: %s"
+            % (self.shard_id, self.pid, self.dead_reason),
+            shard=self.shard_id)
+
     def call(self, request_id, op, kwargs, timeout, deadline_s):
         """One request/response round trip; raises on error/timeout."""
-        if self.dead:
-            raise ShardDownError(
-                "shard %d worker (pid %d) is down: %s"
-                % (self.shard_id, self.pid, self.dead_reason),
-                shard=self.shard_id)
         waiter = _Waiter()
         with self._pending_lock:
             if self.dead:
-                raise ShardDownError(
-                    "shard %d worker (pid %d) is down: %s"
-                    % (self.shard_id, self.pid, self.dead_reason),
-                    shard=self.shard_id)
+                raise self._down_error()
             self._pending[request_id] = waiter
         message = {"id": request_id, "op": op, "kwargs": kwargs,
                    "deadline_s": deadline_s}
@@ -200,9 +196,6 @@ class ShardRouter:
     of query execution whose results are byte-identical to running the
     same statement on a single engine holding the same series.
     """
-
-    #: The serving layer branches on this instead of isinstance checks.
-    is_sharded = True
 
     #: Routers have no process-local quarantine/tile cache; per-shard
     #: ones appear in the ``shards`` section of :meth:`stats`.
@@ -329,9 +322,6 @@ class ShardRouter:
 
     # -- request plumbing ----------------------------------------------------
 
-    def _client(self, shard_id):
-        return self._shards[shard_id]
-
     def _route(self, name):
         return self._shards[shard_of(name, self._n)]
 
@@ -432,6 +422,17 @@ class ShardRouter:
         _, down = self._scatter("flush_all")
         return down
 
+    def compact(self):
+        """Full compaction on every shard (an offline maintenance call,
+        so it waits well past a serving timeout); ``{series: surviving
+        points}``.  A dead shard raises rather than being skipped."""
+        results, down = self._scatter("compact", timeout=3600.0)
+        if down:
+            raise ShardDownError("compaction skipped dead shard(s) %s"
+                                 % down, shard=down[0])
+        return {name: count for counts in results.values()
+                for name, count in counts.items()}
+
     # -- engine-facade: reads ------------------------------------------------
 
     def series_names(self):
@@ -447,12 +448,12 @@ class ShardRouter:
 
     def series_info(self):
         """``(rows, down)``: merged per-series listing rows (see
-        :func:`~repro.shard.worker.series_listing`) plus the ids of
-        shards that could not answer."""
+        ``StorageEngine.series_info``) plus the ids of shards that
+        could not answer."""
         results, down = self._scatter("series_info")
         rows = []
-        for shard_id in sorted(results):
-            rows.extend(results[shard_id])
+        for shard_rows, _ in results.values():
+            rows.extend(shard_rows)
         rows.sort(key=lambda r: r["name"])
         return rows, down
 
@@ -481,7 +482,7 @@ class ShardRouter:
         parsed = parse_sql(sql)
         started = time.perf_counter()
         try:
-            table = self._call(self._route(parsed.series), "execute",
+            table = self._call(self._route(parsed.series), "execute_sql",
                                {"sql": sql, "strict": strict,
                                 "slow_info": slow_info,
                                 "debug_sleep_s": debug_sleep_s})
@@ -502,7 +503,7 @@ class ShardRouter:
         single engine.  Raises :class:`ShardDownError` when the owner
         is dead (the service turns that into a degraded blank chart
         unless strict)."""
-        return self._call(self._route(series), "render",
+        return self._call(self._route(series), "render_series",
                           {"series": series, "width": width,
                            "height": height, "t_qs": t_qs, "t_qe": t_qe,
                            "strict": strict})

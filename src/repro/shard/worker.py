@@ -36,39 +36,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from ..errors import ReproError
-from ..storage.deadline import Deadline, check_deadline, deadline_scope
+from ..storage.deadline import Deadline, deadline_scope
 from ..storage.engine import StorageEngine
 from .placement import config_from_dict
 from .protocol import encode_error, recv_frame, send_frame
-
-
-def series_listing(engine):
-    """One dict per series: name, time range, chunk/point/delete counts.
-
-    Shared shape between the worker's ``series_info`` op and the
-    single-engine ``GET /series`` path, so the scatter-gather listing
-    merges without translation.
-    """
-    out = []
-    for name in sorted(engine.series_names()):
-        try:
-            chunks = engine.chunks_for(name)
-            deletes = engine.deletes_for(name)
-        except ReproError:
-            continue  # unflushed or racing a writer: skip, not fail
-        if chunks:
-            out.append({
-                "name": name,
-                "start_time": min(c.start_time for c in chunks),
-                "end_time": max(c.end_time for c in chunks),
-                "chunks": len(chunks),
-                "points": sum(c.n_points for c in chunks),
-                "deletes": len(deletes)})
-        else:
-            out.append({"name": name, "start_time": None,
-                        "end_time": None, "chunks": 0, "points": 0,
-                        "deletes": len(deletes)})
-    return out
 
 
 class ShardWorker:
@@ -122,11 +93,14 @@ class ShardWorker:
             with deadline_scope(deadline):
                 if deadline is not None:
                     deadline.check()
-                handler = self._OPS.get(request.get("op"))
-                if handler is None:
-                    raise ValueError("unknown shard op %r"
-                                     % request.get("op"))
-                result = handler(self, **(request.get("kwargs") or {}))
+                op = request.get("op")
+                if op not in self._OPS:
+                    raise ValueError("unknown shard op %r" % op)
+                # A wire op is the engine method of the same name, bar
+                # the two the worker answers itself.
+                target = getattr(self, op, None) \
+                    or getattr(self._engine, op)
+                result = target(**(request.get("kwargs") or {}))
             self._reply(request, True, result)
         except BaseException as exc:  # every failure becomes a response
             self._reply(request, False, exc)
@@ -143,112 +117,30 @@ class ShardWorker:
         except (OSError, ReproError):
             pass  # router gone; the read loop will see EOF and exit
 
-    # -- operations (one method per wire op) ---------------------------------
+    #: The one allow-list of wire ops (request ``op`` strings).
+    _OPS = frozenset((
+        "ping", "stats",                           # worker-local, below
+        "create_series", "write", "write_batch", "delete", "flush",
+        "flush_all", "compact", "series_names", "series_info",
+        "chunk_count", "total_points", "execute_sql", "render_series",
+        "delta_spans"))
 
-    def _op_ping(self):
+    def ping(self):
+        """Liveness + identity; the router's first call waits out the
+        engine open (WAL recovery) behind it."""
         return {"pid": os.getpid(), "shard": self._shard_id,
                 "series": len(self._engine.series_names()),
                 "recovery": self._engine.recovery_summary}
 
-    def _op_create_series(self, name):
-        return self._engine.create_series(name)
-
-    def _op_write(self, name, t, v):
-        self._engine.write(name, t, v)
-        return True
-
-    def _op_write_batch(self, name, timestamps, values):
-        self._engine.write_batch(name, timestamps, values)
-        return True
-
-    def _op_delete(self, name, t_start, t_end):
-        self._engine.delete(name, t_start, t_end)
-        return True
-
-    def _op_flush(self, name):
-        self._engine.flush(name)
-        return True
-
-    def _op_flush_all(self):
-        self._engine.flush_all()
-        return True
-
-    def _op_series_names(self):
-        return sorted(self._engine.series_names())
-
-    def _op_series_info(self):
-        return series_listing(self._engine)
-
-    def _op_chunk_count(self, name):
-        return len(self._engine.chunks_for(name))
-
-    def _op_total_points(self, name):
-        return self._engine.total_points(name)
-
-    def _op_execute(self, sql, strict=False, slow_info=None,
-                    debug_sleep_s=0.0):
-        from ..query.executor import Executor
-        from ..query.sql import parse as parse_sql
-        if debug_sleep_s:
-            _sleep_checked(debug_sleep_s)
-        executor = Executor(self._engine,
-                            degraded=False if strict else None)
-        return executor.execute(parse_sql(sql), statement=sql,
-                                slow_info=slow_info)
-
-    def _op_render(self, series, width, height, t_qs=None, t_qe=None,
-                   strict=False):
-        from ..server.service import render_chart
-        return render_chart(self._engine, series, width, height,
-                            t_qs=t_qs, t_qe=t_qe,
-                            degraded=False if strict else None)
-
-    def _op_delta_spans(self, series, ranges, span):
-        from ..server.service import compute_delta_spans
-        return compute_delta_spans(self._engine, series, ranges, span)
-
-    def _op_stats(self):
+    def stats(self):
+        """The engine's observability snapshot plus this worker's
+        quarantine and pid (the router merges these per shard)."""
         snapshot = self._engine.observability_snapshot()
         quarantine = self._engine.quarantine
         snapshot["quarantine"] = {"chunks": len(quarantine),
                                   "entries": quarantine.entries()}
         snapshot["pid"] = os.getpid()
         return snapshot
-
-    def _op_debug_sleep(self, seconds):
-        _sleep_checked(seconds)
-        return True
-
-    _OPS = {
-        "ping": _op_ping,
-        "create_series": _op_create_series,
-        "write": _op_write,
-        "write_batch": _op_write_batch,
-        "delete": _op_delete,
-        "flush": _op_flush,
-        "flush_all": _op_flush_all,
-        "series_names": _op_series_names,
-        "series_info": _op_series_info,
-        "chunk_count": _op_chunk_count,
-        "total_points": _op_total_points,
-        "execute": _op_execute,
-        "render": _op_render,
-        "delta_spans": _op_delta_spans,
-        "stats": _op_stats,
-        "debug_sleep": _op_debug_sleep,
-    }
-
-
-def _sleep_checked(seconds):
-    """Sleep in slices so the installed deadline still cancels it."""
-    import time
-    end = time.monotonic() + float(seconds)
-    while True:
-        check_deadline()
-        remaining = end - time.monotonic()
-        if remaining <= 0:
-            return
-        time.sleep(min(remaining, 0.01))
 
 
 def main(argv=None):

@@ -11,6 +11,10 @@ import dataclasses
 
 from .encoding import Compression, Encoding
 
+#: Marks a sharded store root (written by ``repro.shard.placement``);
+#: a single engine refuses to open a directory that holds it.
+TOPOLOGY_FILE = "shards.json"
+
 
 @dataclasses.dataclass
 class StorageConfig:

@@ -81,6 +81,18 @@ def check_deadline():
         deadline.check()
 
 
+def sleep_checked(seconds):
+    """Sleep in slices so the installed deadline still cancels it (the
+    test-only artificial-work hook behind ``sleep_ms``)."""
+    end = time.monotonic() + float(seconds)
+    while True:
+        check_deadline()
+        remaining = end - time.monotonic()
+        if remaining <= 0:
+            return
+        time.sleep(min(remaining, 0.01))
+
+
 class deadline_scope:
     """Install ``deadline`` as the current thread's deadline.
 

@@ -38,7 +38,9 @@ from . import faultfs
 from .cache import ChunkCache
 from .catalog import CatalogFile
 from .chunk import write_chunk
-from .config import DEFAULT_CONFIG
+from .compaction import compact_all
+from .config import DEFAULT_CONFIG, TOPOLOGY_FILE
+from .deadline import sleep_checked
 from .deletes import Delete, DeleteList
 from .iostats import IoStats
 from .locks import LockWaitObs, RWLock
@@ -92,6 +94,13 @@ class StorageEngine:
 
     def __init__(self, data_dir, config=DEFAULT_CONFIG, stats=None):
         self._data_dir = os.fspath(data_dir)
+        if os.path.exists(os.path.join(self._data_dir, TOPOLOGY_FILE)):
+            # Mirror of resolve_shards refusing to shard unsharded data:
+            # an engine at a sharded root would open empty beside it.
+            raise StorageError(
+                "store %s is sharded (%s present); open it with "
+                "repro.shard.open_store, or open one shard-NN directory"
+                % (self._data_dir, TOPOLOGY_FILE))
         os.makedirs(self._data_dir, exist_ok=True)
         self._config = config
         self._stats = stats if stats is not None else IoStats()
@@ -802,6 +811,78 @@ class StorageEngine:
                   for meta in self.chunks_for(name)]
         t, _v = merge_arrays(chunks, self.deletes_for(name))
         return int(t.size)
+
+    # -- the store surface (shared with ShardRouter) -----------------------------------
+    #
+    # Whatever ``repro.shard.open_store`` returns answers these calls, so
+    # the server, CLI and benches never ask how the store is laid out;
+    # a shard worker serves the same methods over its pipe by name.
+
+    #: One in-process engine is one shard with no worker processes.
+    n_shards = 1
+
+    def shard_workers(self):
+        """``{"shard-NN": alive}`` per worker process: none here."""
+        return {}
+
+    def execute_sql(self, sql, strict=False, slow_info=None,
+                    debug_sleep_s=0.0):
+        """Parse and run one statement; returns a ``ResultTable``.
+
+        ``strict`` disables degraded reads for this call (a corrupt
+        chunk raises instead of being skipped and flagged);
+        ``slow_info`` lands on the slow-query entry; ``debug_sleep_s``
+        is the test-only artificial-work knob, deadline-aware.
+        """
+        from ..query.executor import Executor
+        from ..query.sql import parse
+        if debug_sleep_s:
+            sleep_checked(debug_sleep_s)
+        return Executor(self, degraded=False if strict else None).execute(
+            parse(sql), statement=sql, slow_info=slow_info)
+
+    def render_series(self, series, width, height, t_qs=None, t_qe=None,
+                      strict=False):
+        """``(matrix, M4Result)``: M4-reduce ``series`` and rasterize
+        (see :func:`repro.query.render.render_chart`)."""
+        from ..query.render import render_chart
+        return render_chart(self, series, width, height, t_qs=t_qs,
+                            t_qe=t_qe, degraded=False if strict else None)
+
+    def delta_spans(self, series, ranges, span):
+        """Grid-aligned M4 spans over changed ``ranges`` (``/live``)."""
+        from ..query.render import compute_delta_spans
+        return compute_delta_spans(self, series, ranges, span)
+
+    def series_info(self):
+        """``(rows, down)``: one dict per series (name, time range,
+        chunk/point/delete counts), sorted by name, plus the ids of
+        shards that could not answer — always ``[]`` for one engine."""
+        rows = []
+        for name in sorted(self.series_names()):
+            try:
+                chunks = self.chunks_for(name)
+                deletes = self.deletes_for(name)
+            except StorageError:
+                continue  # unflushed or racing a writer: skip, not fail
+            rows.append({
+                "name": name,
+                "start_time": min((c.start_time for c in chunks),
+                                  default=None),
+                "end_time": max((c.end_time for c in chunks),
+                                default=None),
+                "chunks": len(chunks),
+                "points": sum(c.n_points for c in chunks),
+                "deletes": len(deletes)})
+        return rows, []
+
+    def chunk_count(self, name):
+        """Sealed chunk count of ``name``."""
+        return len(self.chunks_for(name))
+
+    def compact(self):
+        """Full compaction of every series; ``{name: surviving points}``."""
+        return compact_all(self)
 
     @property
     def closed(self):

@@ -23,6 +23,7 @@ import os
 
 from ..errors import CorruptFileError, StorageError
 from .catalog import CatalogFile
+from .config import TOPOLOGY_FILE
 from .mods import ModsFile
 from .quarantine import FILENAME as QUARANTINE_FILENAME
 from .quarantine import QuarantineRegistry
@@ -51,6 +52,18 @@ class FsckReport:
                  "issue": issue}
         entry.update(details)
         self.issues.append(entry)
+
+    def absorb(self, shard_report):
+        """Fold one shard's report into this store-root report; its
+        issues keep their file name under a ``shard-NN/`` prefix."""
+        prefix = os.path.basename(shard_report.data_dir)
+        self.issues.extend(dict(issue, file="%s/%s" % (prefix,
+                                                       issue["file"]))
+                           for issue in shard_report.issues)
+        for field in ("files_checked", "chunks_checked",
+                      "chunks_damaged", "quarantined"):
+            setattr(self, field, getattr(self, field)
+                    + getattr(shard_report, field))
 
     @property
     def errors(self):
@@ -185,11 +198,21 @@ def fsck_store(data_dir, quarantine=False, verify_pages=True):
     registry so subsequent degraded reads skip them.  ``verify_pages``:
     read and CRC-check every page payload (the expensive part; without
     it only magics, metadata sections and record logs are verified).
+
+    A sharded root (one holding ``shards.json``) has no engine files of
+    its own: every ``shard-NN/`` below it is a complete store, checked
+    in turn and folded into one report.
     """
     data_dir = os.fspath(data_dir)
     if not os.path.isdir(data_dir):
         raise StorageError("no such data directory: %s" % data_dir)
     report = FsckReport(data_dir=data_dir)
+    if os.path.exists(os.path.join(data_dir, TOPOLOGY_FILE)):
+        for name in sorted(os.listdir(data_dir)):
+            path = os.path.join(data_dir, name)
+            if name.startswith("shard-") and os.path.isdir(path):
+                report.absorb(fsck_store(path, quarantine, verify_pages))
+        return report
 
     # 1. Catalog: collect series ids for referential checks.
     known_series = None

@@ -78,6 +78,47 @@ class TestEndpoints:
         assert info.value.status == 400
 
 
+class TestOneWritePerResponse:
+    """Headers flushed ahead of the body stall a keep-alive client
+    ~40 ms (Nagle + delayed ACK): every response is one socket write.
+    Counted, not timed."""
+
+    def test_headers_and_body_leave_in_one_write(self, served,
+                                                 monkeypatch):
+        from repro.server.http import _Handler
+
+        class CountingWriter:
+            def __init__(self, inner):
+                self._inner = inner
+                self.calls = []
+
+            def write(self, data):
+                self.calls.append(bytes(data))
+                return self._inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        per_connection = []
+        real_setup = _Handler.setup
+
+        def setup(handler):
+            real_setup(handler)
+            handler.wfile = CountingWriter(handler.wfile)
+            per_connection.append(handler.wfile.calls)
+
+        monkeypatch.setattr(_Handler, "setup", setup)
+        served.client.healthz()
+        served.client.query(SQL)
+        served.client.render("ball", width=40, height=12, fmt="pbm")
+        assert served.client.request("GET", "/nope").status == 404
+        assert len(per_connection) == 4
+        for calls in per_connection:
+            assert len(calls) == 1
+            head, _, body = calls[0].partition(b"\r\n\r\n")
+            assert b"Content-Length: %d\r\n" % len(body) in head + b"\r\n"
+
+
 class TestRenderIdentical:
     """GET /render must be byte-identical to every in-process surface."""
 

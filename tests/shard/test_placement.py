@@ -87,7 +87,7 @@ class TestOpenStore:
         with open_store(str(tmp_path / "db"), StorageConfig(),
                         shards=1) as eng:
             assert isinstance(eng, StorageEngine)
-            assert not getattr(eng, "is_sharded", False)
+            assert eng.n_shards == 1
         # shards=1 must not pin a topology: the store stays a plain
         # single-engine directory.
         assert read_topology(str(tmp_path / "db")) is None
@@ -95,11 +95,11 @@ class TestOpenStore:
     def test_multi_shard_pins_and_reopens(self, tmp_path):
         store = str(tmp_path / "db")
         with open_store(store, StorageConfig(), shards=2) as eng:
-            assert eng.is_sharded and eng.n_shards == 2
+            assert eng.n_shards == 2
         assert read_topology(store)["shards"] == 2
         # Reopen with no flag: the pinned topology decides.
         with open_store(store, StorageConfig()) as eng:
-            assert eng.is_sharded and eng.n_shards == 2
+            assert eng.n_shards == 2
 
     def test_placement_survives_restart(self, tmp_path):
         store = str(tmp_path / "db")
