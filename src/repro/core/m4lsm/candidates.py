@@ -10,6 +10,12 @@ value ties by earliest timestamp (matching the UDF's ``argmin``/
 ``argmax`` first-occurrence semantics, so results never depend on chunk
 layout) and timestamp ties by the largest version (the ``argmax
 P.kappa`` of Section 3.2).
+
+A chunk that a span bound splits enters a span as a :class:`Fragment`:
+the part of it inside the span, already loaded and delete-filtered by
+the operator's sweep, with *exact* statistics — Definition 2.4 applied
+to the fragment — so it generates candidates like a whole chunk whose
+metadata happens to be right.
 """
 
 from __future__ import annotations
@@ -21,8 +27,29 @@ FP, LP, BP, TP = "FP", "LP", "BP", "TP"
 ALL_FUNCTIONS = (FP, LP, BP, TP)
 
 
+class Fragment:
+    """The part of a split chunk that falls inside one span.
+
+    ``statistics`` are exact for ``data_t``/``data_v``: the chunk's
+    in-span points after every real delete newer than the chunk.
+    """
+
+    __slots__ = ("meta", "version", "statistics", "data_t", "data_v")
+
+    def __init__(self, meta, statistics, data_t, data_v):
+        self.meta = meta
+        self.version = meta.version
+        self.statistics = statistics
+        self.data_t = data_t
+        self.data_v = data_v
+
+
 class ChunkView:
     """Per-span view of one chunk's metadata and (lazily loaded) data.
+
+    Built from a :class:`~repro.storage.chunk.ChunkMetadata` (a chunk
+    wholly inside the span: optimistic statistics, data not loaded) or
+    from a :class:`Fragment` (exact statistics, data already loaded).
 
     Point attributes hold the current best-known representation points:
     a :class:`Point` (possibly optimistic — not yet verified), or ``None``
@@ -31,18 +58,19 @@ class ChunkView:
     no surviving point for that function inside the span.
     """
 
-    __slots__ = ("meta", "version", "span_start", "span_end",
+    __slots__ = ("meta", "version", "statistics", "span_start", "span_end",
                  "first", "first_bound", "first_dead",
                  "last", "last_bound", "last_dead",
                  "bottom", "bottom_dead", "top", "top_dead",
                  "excluded", "loaded", "data_t", "data_v", "_index")
 
-    def __init__(self, meta, span_start, span_end):
-        self.meta = meta
-        self.version = meta.version
+    def __init__(self, source, span_start, span_end):
+        fragment = isinstance(source, Fragment)
+        self.meta = source.meta if fragment else source
+        self.version = source.version
         self.span_start = span_start
         self.span_end = span_end
-        stats = meta.statistics
+        self.statistics = stats = source.statistics
         self.first = stats.first
         self.first_bound = stats.start_time  # surviving first time is >= this
         self.first_dead = False
@@ -54,9 +82,9 @@ class ChunkView:
         self.top = stats.top
         self.top_dead = False
         self.excluded = set()   # timestamps known overwritten by newer chunks
-        self.loaded = False     # in-span, delete-filtered data materialized
-        self.data_t = None
-        self.data_v = None
+        self.loaded = fragment  # in-span, delete-filtered data materialized
+        self.data_t = source.data_t if fragment else None
+        self.data_v = source.data_v if fragment else None
         self._index = None
 
     # -- generic accessors keyed by function tag --------------------------------
@@ -89,8 +117,21 @@ class ChunkView:
     # -- interval / index helpers ------------------------------------------------
 
     def interval_covers(self, t):
-        """Whole-chunk interval test of Section 3.4 (not point existence)."""
-        return self.meta.statistics.covers_time(t)
+        """Interval test of Section 3.4 (not point existence) on the
+        view's statistics: the whole chunk's, or the fragment's."""
+        return self.statistics.covers_time(t)
+
+    def has_time(self, t, data_reader, use_regression=True):
+        """Point existence at ``t``: a binary search in the loaded data,
+        else an index probe (``exists``, read type (a)).  Deleted points
+        are filtered out of loaded data, which cannot hide an overwrite:
+        a delete that removed this chunk's point at ``t`` removes ``t``
+        from every older chunk too, so a candidate there fails the
+        delete check before it gets to ask."""
+        if not self.loaded:
+            return self.chunk_index(data_reader, use_regression).exists(t)
+        pos = int(np.searchsorted(self.data_t, t))
+        return pos < self.data_t.size and int(self.data_t[pos]) == t
 
     def chunk_index(self, data_reader, use_regression=True):
         """The chunk's index, built once per view."""
@@ -99,13 +140,17 @@ class ChunkView:
         return self._index
 
     def surviving_data(self):
-        """Loaded in-span data minus excluded timestamps."""
+        """Loaded in-span data minus excluded timestamps.
+
+        Every excluded timestamp is one of this view's own candidates
+        that passed the delete check, so it is a row of the loaded
+        (delete-filtered, in-span) data and one binary search finds it.
+        """
         if not self.excluded:
             return self.data_t, self.data_v
-        mask = ~np.isin(self.data_t,
-                        np.fromiter(self.excluded, dtype=np.int64,
-                                    count=len(self.excluded)))
-        return self.data_t[mask], self.data_v[mask]
+        keep = np.ones(self.data_t.size, dtype=bool)
+        keep[np.searchsorted(self.data_t, list(self.excluded))] = False
+        return self.data_t[keep], self.data_v[keep]
 
     def __repr__(self):
         return ("ChunkView(v=%s, [%d, %d], loaded=%s)"
@@ -157,10 +202,3 @@ def candidate_pool(views, function):
     # timestamp, for which this is plain version order.
     pool.sort(key=lambda item: (item[1].t, -item[0].version))
     return pool
-
-
-def build_views(chunk_metadata, span_start, span_end):
-    """Views for every chunk overlapping the span ``[start, end)``."""
-    return [ChunkView(meta, span_start, span_end)
-            for meta in chunk_metadata
-            if meta.statistics.overlaps(span_start, span_end)]

@@ -1,22 +1,67 @@
-"""Lazy loading and metadata recomputation (Sections 3.3 and 3.4).
+"""Chunk loading and metadata recomputation (Sections 3.3 and 3.4).
 
-When a candidate fails verification, M4-LSM does *not* reload the chunk
-eagerly:
+Two kinds of chunk reach a span.  One that a span bound splits is
+loaded up front, once per query, by :func:`sweep_chunk` and handed to
+each span it reaches as a :class:`Fragment` with exact statistics; its
+views start out loaded.  One wholly inside the span starts from its
+stored metadata and is *not* reloaded eagerly when a candidate fails
+verification:
 
 * FP/LP — the killing delete's boundary tightens the view's time bound;
   an actual recomputation, when finally needed, walks the chunk index
   (read type (b): the closest point after/before a timestamp), touching
   one page per probe instead of the whole chunk.
 * BP/TP — other tied candidates are tried first; only when the pool is
-  exhausted is the chunk's in-span data loaded (read type (c)) and its
+  exhausted is the chunk's data loaded (read type (c)) and its
   bottom/top recomputed under deletes and known overwrites.
+
+Either way a recomputation on loaded data is an in-memory search.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .candidates import BP, FP, LP, TP
+from ...storage.statistics import Statistics
+from ..series import Point
+from .candidates import BP, FP, LP, TP, Fragment
+
+
+def sweep_chunk(meta, real_deletes, data_reader, bounds):
+    """Load a split chunk once and cut it at the span bounds it reaches.
+
+    ``bounds`` are consecutive span boundaries; entry ``j`` of the
+    returned list is the :class:`Fragment` of the chunk's delete-filtered
+    points in ``[bounds[j], bounds[j + 1])``, or ``None`` when none
+    survive there.  Bottom/top come from the same ``argmin``/``argmax``
+    as stored chunk statistics: value ties go to the earliest time.
+    """
+    t, v = data_reader.load_chunk(meta, deletes=real_deletes)
+    cuts = np.searchsorted(t, bounds, side="left").tolist()
+    fragments = [None] * (len(cuts) - 1)
+    occupied = [j for j in range(len(cuts) - 1) if cuts[j] < cuts[j + 1]]
+    if not occupied:
+        return fragments
+    los = [cuts[j] for j in occupied]
+    his = [cuts[j + 1] for j in occupied]
+    bottoms = [lo + int(v[lo:hi].argmin()) for lo, hi in zip(los, his)]
+    tops = [lo + int(v[lo:hi].argmax()) for lo, hi in zip(los, his)]
+    # Everything but the arg-extremes is taken for all fragments at
+    # once (the non-empty ones tile rows [cuts[0], cuts[-1]) in order),
+    # and only the 4 statistic rows per fragment become Python objects.
+    rows = los + [hi - 1 for hi in his] + bottoms + tops
+    points = list(map(Point, t[rows].tolist(), v[rows].tolist()))
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = np.add.reduceat(v[:his[-1]], los).tolist()
+    k = len(occupied)
+    for n, j in enumerate(occupied):
+        lo, hi = los[n], his[n]
+        fragments[j] = Fragment(
+            meta,
+            Statistics(hi - lo, points[n], points[k + n],
+                       points[2 * k + n], points[3 * k + n], sums[n]),
+            t[lo:hi], v[lo:hi])
+    return fragments
 
 
 def tighten_first_bound(view, delete):
@@ -99,7 +144,6 @@ def recalc_bottom_top(view, real_deletes, data_reader, functions=(BP, TP)):
     excluding timestamps known to be overwritten."""
     load_view_data(view, real_deletes, data_reader)
     t, v = view.surviving_data()
-    from ..series import Point
     for function in functions:
         if t.size == 0:
             view.mark_dead(function)
@@ -111,7 +155,6 @@ def recalc_bottom_top(view, real_deletes, data_reader, functions=(BP, TP)):
 def _resolve_first_from_data(view, deletes):
     """FP from already-loaded data (deletes were applied at load; only
     the bound — which encodes virtual deletes — still applies)."""
-    from ..series import Point
     t, v = view.data_t, view.data_v
     pos = int(np.searchsorted(t, view.first_bound, side="left"))
     if pos >= t.size:
@@ -123,7 +166,6 @@ def _resolve_first_from_data(view, deletes):
 
 def _resolve_last_from_data(view, deletes):
     """LP from already-loaded data, bounded above by ``last_bound``."""
-    from ..series import Point
     t, v = view.data_t, view.data_v
     pos = int(np.searchsorted(t, view.last_bound, side="right")) - 1
     if pos < 0:

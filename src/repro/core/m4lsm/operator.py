@@ -1,16 +1,29 @@
 """The M4-LSM operator (Section 3, Algorithm 1): chunk-merge-free M4.
 
-For every span the solver iterates candidate generation (Section 3.2)
-and verification (Sections 3.3/3.4), lazily loading chunk data only when
-metadata cannot answer.  The span's boundaries participate as virtual
-deletes, so a whole-chunk metadata point that falls outside the span is
-invalidated through exactly the same code path as a deleted one.
+A query runs in three steps.  *Read metadata*: the chunks overlapping the
+range and the series' deletes.  *Sweep*: a chunk wholly inside one span
+enters it with its stored statistics; every chunk that a span bound (or
+the range itself) splits is opened exactly once, delete-filtered, cut at
+all the span bounds it reaches, and enters each of those spans as a
+:class:`~repro.core.m4lsm.candidates.Fragment` with exact statistics of
+its own — Definition 2.4 applied to fragments, so a split chunk
+generates candidates like a whole one instead of failing verification
+against the span's virtual deletes once per span.  *Solve*: a span whose
+members cannot interact (whole chunks uncontested, exact intervals
+pairwise disjoint) is answered from statistics alone; for the others the
+solver iterates candidate generation (Section 3.2) and verification
+(Sections 3.3/3.4), lazily loading a whole chunk only when metadata
+cannot answer.  The span's boundaries participate as virtual deletes, so
+a whole-chunk metadata point that falls outside the span is invalidated
+through exactly the same code path as a deleted one.
 
 Invariant maintained by the solve loops: candidates are generated only
 when no view has a pending (invalidated, not yet recomputed) point, and
 every known metadata point bounds its view's true surviving extreme from
 the optimistic side — so a candidate that survives verification is the
-true representation point.
+true representation point.  A fragment's statistics are exact, the
+tightest such bound; only an overwrite by a newer member can still
+invalidate them.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ import os
 from ...errors import CorruptFileError, StorageError
 from ...obs import tracer_of
 from ...storage.deadline import check_deadline
+from ...storage.deletes import DeleteList
 from ...storage.overlap import contested_versions
 from ..m4 import _count_degraded
 from ..result import M4Result, SpanAggregate, merge_time_ranges
@@ -30,6 +44,7 @@ from .candidates import (
     LP,
     TP,
     ChunkView,
+    Fragment,
     candidate_pool,
     pending_views,
 )
@@ -38,9 +53,11 @@ from .lazyload import (
     recalc_bottom_top,
     resolve_first,
     resolve_last,
+    sweep_chunk,
     tighten_first_bound,
     tighten_last_bound,
 )
+from .tracing import EMPTY, FUSED, SOLVER, QueryTrace, SpanTrace
 from .verification import DELETED, verify_bp_tp, verify_fp_lp
 from .virtual_deletes import deletes_with_span
 
@@ -60,30 +77,41 @@ class SpanSolver:
         self._span_start = views[0].span_start
         self._span_end = views[0].span_end
         self._real_deletes = real_deletes
-        self._deletes = deletes_with_span(real_deletes, self._span_start,
-                                          self._span_end)
+        # Only deletes reaching into the span can kill an in-span point;
+        # a candidate outside it dies by a virtual delete either way.
+        self._deletes = deletes_with_span(
+            DeleteList(real_deletes.overlapping(self._span_start,
+                                                self._span_end - 1)),
+            self._span_start, self._span_end)
         self._reader = data_reader
         self._stats = stats
         self._lazy = lazy
         self._use_regression = use_regression
         self._parallel_map = parallel_map
+        self._iterations = 0
 
     def solve(self):
         """All four representation points as a :class:`SpanAggregate`."""
-        first = self._solve_time_extreme(FP)
-        if first is None:
-            return SpanAggregate()
-        last = self._solve_time_extreme(LP)
-        bottom = self._solve_value_extreme(BP)
-        top = self._solve_value_extreme(TP)
-        return SpanAggregate(first=first, last=last, bottom=bottom, top=top)
+        try:
+            first = self._solve_time_extreme(FP)
+            if first is None:
+                return SpanAggregate()
+            last = self._solve_time_extreme(LP)
+            bottom = self._solve_value_extreme(BP)
+            top = self._solve_value_extreme(TP)
+            return SpanAggregate(first=first, last=last, bottom=bottom,
+                                 top=top)
+        finally:
+            # One locked add per solve, not one per iteration.
+            if self._stats is not None:
+                self._stats.add(candidate_iterations=self._iterations)
 
     # -- FP / LP ---------------------------------------------------------------------
 
     def _solve_time_extreme(self, function):
         views = self._views
         for _ in range(_MAX_ITERATIONS):
-            self._count_iteration()
+            self._iterations += 1
             pool = candidate_pool(views, function)
             pending = pending_views(views, function)
             if not pool:
@@ -138,7 +166,7 @@ class SpanSolver:
     def _solve_value_extreme(self, function):
         views = self._views
         for _ in range(_MAX_ITERATIONS):
-            self._count_iteration()
+            self._iterations += 1
             pending = pending_views(views, function)
             self._prefetch(pending)
             for view in pending:
@@ -171,10 +199,6 @@ class SpanSolver:
         self._parallel_map(
             lambda view: load_view_data(view, self._real_deletes,
                                         self._reader), unloaded)
-
-    def _count_iteration(self):
-        if self._stats is not None:
-            self._stats.add(candidate_iterations=1)
 
 
 class M4LSMOperator:
@@ -219,40 +243,83 @@ class M4LSMOperator:
                 healthy.append(meta)
         return healthy
 
-    def _quarantine_bad(self, exc, metas, skipped, dead):
+    def _quarantine_bad(self, exc, members, skipped):
         """Quarantine the chunk behind a checksum failure; returns the
-        surviving metas for a re-solve.
+        surviving span members for a re-solve.
 
         The failing chunk is identified by the ``(file, data_offset)``
         the :class:`CorruptFileError` carries; when the error cannot be
-        attributed, every chunk of the span is dropped (conservative:
-        the span degrades to empty rather than looping forever).
+        attributed, every whole chunk of the span is dropped
+        (conservative: the span degrades rather than looping forever).
+        Fragments are already loaded, so they are never the culprit.
         """
+        whole = [m for m in members if not isinstance(m, Fragment)]
         target = getattr(exc, "chunk", None)
         bad = []
         if target is not None:
             t_file = os.path.basename(str(target[0]))
             t_offset = int(target[1])
-            bad = [m for m in metas
+            bad = [m for m in whole
                    if os.path.basename(m.file_path) == t_file
                    and m.data_offset == t_offset]
         if not bad:
-            bad = list(metas)
+            bad = whole
         quarantine = getattr(self._engine, "quarantine", None)
         for meta in bad:
             if quarantine is not None:
                 quarantine.add_meta(meta, reason=str(exc))
-            dead.add((meta.file_path, meta.data_offset))
             skipped.append((meta.start_time, meta.end_time + 1))
-        return [m for m in metas
-                if (m.file_path, m.data_offset) not in dead]
+        return [m for m in members if m not in bad]
+
+    def _sweep(self, chunks, bounds, real_deletes, data_reader, degraded,
+               skipped):
+        """Distribute the chunks over the spans, opening every chunk
+        that is not wholly inside one span exactly once.
+
+        Returns ``(per_span, n_swept, n_fragments)``; ``per_span[i]``
+        lists span ``i``'s members in version order: the
+        :class:`ChunkMetadata` of a chunk wholly inside the span, or the
+        :class:`Fragment` of a split chunk's surviving points there.  A
+        damaged split chunk is quarantined here (degraded mode) and
+        contributes nothing.
+        """
+        t_qs, t_qe = int(bounds[0]), int(bounds[-1])
+        w = len(bounds) - 1
+        duration = t_qe - t_qs
+        per_span = [[] for _ in range(w)]
+        n_swept = n_fragments = 0
+        for meta in chunks:
+            lo = max(meta.start_time, t_qs)
+            hi = min(meta.end_time, t_qe - 1)
+            first_span = int((lo - t_qs) * w // duration)
+            last_span = int((hi - t_qs) * w // duration)
+            if first_span == last_span and lo == meta.start_time \
+                    and hi == meta.end_time:
+                per_span[first_span].append(meta)
+                continue
+            check_deadline()  # cancellation point: between chunk loads
+            try:
+                fragments = sweep_chunk(
+                    meta, real_deletes, data_reader,
+                    bounds[first_span:last_span + 2])
+            except CorruptFileError as exc:
+                if not degraded:
+                    raise
+                self._quarantine_bad(exc, [meta], skipped)
+                continue
+            n_swept += 1
+            for i, fragment in enumerate(fragments, first_span):
+                if fragment is not None:
+                    per_span[i].append(fragment)
+                    n_fragments += 1
+        return per_span, n_swept, n_fragments
 
     def query(self, series_name, t_qs, t_qe, w):
         """Run the M4 representation query; returns :class:`M4Result`.
 
         Equivalent to Algorithm 1: chunk metadata and deletes are read
-        once; each span is then solved independently, sharing one
-        DataReader so pages decoded for one span are reused by the next.
+        once, split chunks are opened once by the sweep, and each span
+        is then solved independently from its members.
         """
         result, _trace = self._execute(series_name, t_qs, t_qe, w,
                                        collect_trace=False)
@@ -269,7 +336,6 @@ class M4LSMOperator:
         tracer = tracer_of(self._engine)
         degraded = self._degraded_enabled()
         skipped = []   # (start, end) per damaged chunk left out
-        dead = set()   # (file_path, data_offset) quarantined mid-query
         with tracer.span("operator.m4lsm", series=series_name, w=w):
             with tracer.span("read.metadata"):
                 metadata_reader = self._engine.metadata_reader(series_name)
@@ -283,52 +349,52 @@ class M4LSMOperator:
                 if self._engine.parallelism > 1 else None
 
             bounds = all_span_bounds(t_qs, t_qe, w)
-            duration = t_qe - t_qs
-            per_span = [[] for _ in range(w)]
-            for meta in chunks:
-                lo = max(meta.start_time, t_qs)
-                hi = min(meta.end_time, t_qe - 1)
-                first_span = int((lo - t_qs) * w // duration)
-                last_span = int((hi - t_qs) * w // duration)
-                for i in range(first_span, last_span + 1):
-                    per_span[i].append(meta)
+            before = stats.snapshot() if collect_trace else None
+            with tracer.span("sweep") as sweep_span:
+                per_span, n_swept, n_fragments = self._sweep(
+                    chunks, bounds, real_deletes, data_reader, degraded,
+                    skipped)
+                sweep_span.attrs["chunks"] = n_swept
+                sweep_span.attrs["fragments"] = n_fragments
+            swept = stats.diff(before) if collect_trace else None
 
             contested = contested_versions(chunks, real_deletes) \
                 if self._fused_fast_path else None
 
-            from .tracing import EMPTY, FUSED, SOLVER, QueryTrace, SpanTrace
             span_traces = [] if collect_trace else None
             spans = []
+            span_bounds = bounds.tolist()
             with tracer.span("solve", spans=w,
                              chunks=len(chunks)) as solve_span:
                 n_fused = n_solver = 0
                 for i in range(w):
                     check_deadline()  # cancellation point: between spans
-                    start, end = int(bounds[i]), int(bounds[i + 1])
-                    metas_i = per_span[i] if not dead else \
-                        [m for m in per_span[i]
-                         if (m.file_path, m.data_offset) not in dead]
-                    if start >= end or not metas_i:
+                    start, end = span_bounds[i], span_bounds[i + 1]
+                    members = per_span[i]
+                    if not members:
                         spans.append(SpanAggregate())
                         if collect_trace:
                             span_traces.append(SpanTrace(i, start, end,
                                                          EMPTY))
                         continue
+                    if collect_trace:
+                        n_frag_i = sum(isinstance(m, Fragment)
+                                       for m in members)
                     if contested is not None:
-                        fused = _fused_span(metas_i, start, end,
-                                            contested)
+                        fused = _fused_span(members, contested)
                         if fused is not None:
                             spans.append(fused)
                             n_fused += 1
                             if collect_trace:
                                 span_traces.append(SpanTrace(
                                     i, start, end, FUSED,
-                                    n_chunks=len(metas_i)))
+                                    n_chunks=len(members),
+                                    fragments=n_frag_i))
                             continue
                     before = stats.snapshot() if collect_trace else None
                     while True:
-                        views = [ChunkView(meta, start, end)
-                                 for meta in metas_i]
+                        views = [ChunkView(member, start, end)
+                                 for member in members]
                         solver = SpanSolver(
                             views, real_deletes, data_reader,
                             stats=stats, lazy=self._lazy,
@@ -342,9 +408,9 @@ class M4LSMOperator:
                                 raise
                             # Quarantine the damaged chunk and re-solve
                             # the span from the survivors.
-                            metas_i = self._quarantine_bad(exc, metas_i,
-                                                           skipped, dead)
-                            if not metas_i:
+                            members = self._quarantine_bad(exc, members,
+                                                           skipped)
+                            if not members:
                                 spans.append(SpanAggregate())
                                 break
                     n_solver += 1
@@ -352,7 +418,8 @@ class M4LSMOperator:
                         diff = stats.diff(before)
                         span_traces.append(SpanTrace(
                             i, start, end, SOLVER,
-                            n_chunks=len(metas_i),
+                            n_chunks=len(members),
+                            fragments=n_frag_i,
                             iterations=diff.candidate_iterations,
                             chunk_loads=diff.chunk_loads,
                             pages_decoded=diff.pages_decoded,
@@ -364,31 +431,46 @@ class M4LSMOperator:
                 skipped=merge_time_ranges(skipped, t_qs, t_qe))
             if result.degraded:
                 _count_degraded(self._engine, self.name)
-            trace = QueryTrace(series_name, int(t_qs), int(t_qe), int(w),
-                               tuple(span_traces)) if collect_trace \
-                else None
+            trace = QueryTrace(
+                series_name, int(t_qs), int(t_qe), int(w),
+                tuple(span_traces), swept_chunks=n_swept,
+                sweep_chunk_loads=swept.chunk_loads,
+                sweep_pages_decoded=swept.pages_decoded) \
+                if collect_trace else None
             return result, trace
 
 
-def _fused_span(metas, start, end, contested):
-    """Metadata-only aggregate for an uncontested span, else ``None``."""
+def _fused_span(members, contested):
+    """Aggregate of a span whose members cannot interact, else ``None``.
+
+    That holds when every whole chunk is uncontested (its statistics are
+    exact and nothing overlaps it; a fragment's always are exact) and
+    the members' exact intervals are pairwise disjoint, so no point of
+    one can overwrite a point of another: the span's representation
+    points are then the extremes over the members' statistics.
+    """
+    if len(members) > 1:
+        members = sorted(members, key=_start_time)
     first = last = bottom = top = None
-    for meta in metas:
-        if meta.version in contested:
+    for member in members:
+        if member.version in contested \
+                and not isinstance(member, Fragment):
             return None
-        stats = meta.statistics
-        if not (start <= stats.start_time and stats.end_time < end):
-            return None  # split by the span boundary: needs the solver
-        if first is None or stats.first.t < first.t:
+        stats = member.statistics
+        if last is not None and stats.first.t <= last.t:
+            return None  # overlaps the previous member: needs the solver
+        if first is None:
             first = stats.first
-        if last is None or stats.last.t > last.t:
-            last = stats.last
-        # Value ties break on earliest timestamp so the fused answer
-        # matches the solver and the UDF regardless of meta order.
-        if bottom is None or stats.bottom.v < bottom.v or (
-                stats.bottom.v == bottom.v and stats.bottom.t < bottom.t):
+        last = stats.last
+        # Value ties break on earliest timestamp, which in start-time
+        # order is the first member seen, so the fused answer matches
+        # the solver and the UDF.
+        if bottom is None or stats.bottom.v < bottom.v:
             bottom = stats.bottom
-        if top is None or stats.top.v > top.v or (
-                stats.top.v == top.v and stats.top.t < top.t):
+        if top is None or stats.top.v > top.v:
             top = stats.top
     return SpanAggregate(first=first, last=last, bottom=bottom, top=top)
+
+
+def _start_time(member):
+    return member.statistics.first.t

@@ -27,14 +27,17 @@ class SpanTrace:
     end: int
     mode: str
     n_chunks: int = 0
+    fragments: int = 0   # members that are sweep-loaded chunk fragments
     iterations: int = 0
     chunk_loads: int = 0
     pages_decoded: int = 0
     index_lookups: int = 0
 
     def was_metadata_only(self):
-        """True when the span was answered without reading chunk data."""
-        return self.chunk_loads == 0 and self.pages_decoded == 0
+        """True when the span was answered without reading chunk data —
+        neither by its solver nor, for a fragment, by the sweep."""
+        return self.fragments == 0 and self.chunk_loads == 0 \
+            and self.pages_decoded == 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,6 +49,10 @@ class QueryTrace:
     t_qe: int
     w: int
     spans: tuple  # of SpanTrace
+    # The chunk-major sweep that ran before the spans were solved.
+    swept_chunks: int = 0         # split chunks opened (once each)
+    sweep_chunk_loads: int = 0
+    sweep_pages_decoded: int = 0
 
     def counts_by_mode(self):
         """``{mode: span count}``."""
@@ -81,9 +88,13 @@ class QueryTrace:
             "  spans: %d fused / %d solver / %d empty"
             % (modes[FUSED], modes[SOLVER], modes[EMPTY]),
             "  totals: %d iterations, %d chunk loads, %d pages decoded, "
-            "%d index lookups"
+            "%d index lookups; sweep: %d chunks, %d fragments, "
+            "%d chunk loads, %d pages decoded"
             % (self.total("iterations"), self.total("chunk_loads"),
-               self.total("pages_decoded"), self.total("index_lookups")),
+               self.total("pages_decoded"), self.total("index_lookups"),
+               self.swept_chunks, self.total("fragments"),
+               self.sweep_chunk_loads,
+               self.sweep_pages_decoded),
             "  metadata-only spans: %.1f%%"
             % (100.0 * self.metadata_only_fraction()),
         ]

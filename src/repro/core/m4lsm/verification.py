@@ -5,8 +5,10 @@ candidate at the extreme time with the largest version can never be
 overwritten.  BP/TP candidates additionally need the overwrite check of
 Proposition 3.3 against chunks with larger versions: first the free
 interval test on chunk metadata, and only where the interval covers the
-candidate's time, an index probe (``exists``, read type (a) of Table 1)
-that decodes just the page containing the probed timestamp.
+candidate's time, a point-existence check — one binary search on a view
+whose data is already loaded (every fragment of a split chunk is), else
+an index probe (``exists``, read type (a) of Table 1) that decodes just
+the page containing the probed timestamp.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ def verify_bp_tp(point, view, all_views, deletes, data_reader,
 
     The overwrite check follows Section 3.4's three cases: newer chunks
     whose metadata interval does not cover the candidate's time are
-    dismissed for free; covering ones are probed through their chunk
-    index (one page decode at most per probe).
+    dismissed for free; covering ones are searched in their loaded data
+    or probed through their chunk index (one page decode at most per
+    probe).
     """
     delete = covering_delete(point, view.version, deletes)
     if delete is not None:
@@ -69,7 +72,6 @@ def verify_bp_tp(point, view, all_views, deletes, data_reader,
             continue
         if not other.interval_covers(point.t):
             continue  # case (1): free prune on metadata interval
-        index = other.chunk_index(data_reader, use_regression)
-        if index.exists(point.t):
+        if other.has_time(point.t, data_reader, use_regression):
             return Verdict(OVERWRITTEN, by_view=other)
     return Verdict(LATEST)
