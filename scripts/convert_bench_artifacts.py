@@ -4,7 +4,7 @@ Usage::
 
     PYTHONPATH=src python scripts/convert_bench_artifacts.py [paths...]
 
-With no arguments, converts the four standing artifacts under
+With no arguments, converts the three standing artifacts under
 ``benchmarks/`` in place.  Already-valid artifacts are left untouched.
 """
 
@@ -19,8 +19,8 @@ _BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks")
 
 _DEFAULTS = [os.path.join(_BENCH_DIR, name)
-             for name in ("BENCH_parallelism.json", "BENCH_server.json",
-                          "BENCH_durability.json", "BENCH_tiles.json")]
+             for name in ("BENCH_server.json", "BENCH_durability.json",
+                          "BENCH_tiles.json")]
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:] or _DEFAULTS))

@@ -89,23 +89,14 @@ _SECTIONS = (
 )
 
 
-# E12-E15 measure whole subsystems (thread pools, a live HTTP server,
-# reader pools, a warmed cache) and are too slow / too stateful to
+# E13-E15 measure whole subsystems (a live HTTP server, reader pools,
+# a warmed cache) and are too slow / too stateful to
 # re-run inline here; their benches write schema-validated JSON
 # artifacts into benchmarks/ (see repro.bench.schema), and this script
 # renders the checked-in artifacts — anything pre-schema is refused
 # (run scripts/convert_bench_artifacts.py once).
 # (name, reading, artifact file, regeneration command, column order)
 _ARTIFACTS = (
-    ("E12 — parallel chunk pipeline (beyond paper)",
-     "Output is byte-identical to serial at every worker count (the "
-     "`identical` column is the contract); wall-clock speedups are "
-     "modest at bench scale because only the GIL-free load+decode "
-     "phase parallelizes — the win grows with chunk count.",
-     "BENCH_parallelism.json",
-     "PYTHONPATH=src python -m pytest -q -s benchmarks/test_parallel_pipeline.py",
-     ("operator", "parallelism", "serial_seconds", "parallel_seconds",
-      "speedup", "identical")),
     ("E13 — server throughput under load (beyond paper)",
      "Closed-loop throughput roughly doubles from 1 to 64 users while "
      "the admission queue sheds the excess (shed rate up to ~0.64) and "
@@ -146,7 +137,7 @@ def _cell(value):
 
 
 def _artifact_sections(bench_dir="benchmarks"):
-    """Markdown sections for E12-E15, rendered from BENCH_*.json."""
+    """Markdown sections for E13-E15, rendered from BENCH_*.json."""
     lines = []
     for title, reading, artifact, command, columns in _ARTIFACTS:
         path = os.path.join(bench_dir, artifact)
@@ -183,8 +174,8 @@ def _matrix_section(bench_dir="benchmarks"):
     """The E16 scenario-matrix section, from BENCH_matrix.json.
 
     Unlike the one-axis paper sweeps above, the matrix crosses the
-    axes (cardinality x overlap x delete x operator x parallelism x
-    tile cache); the artifact doubles as the CI regression-gate
+    axes (cardinality x overlap x delete x operator x tile cache x
+    ingest); the artifact doubles as the CI regression-gate
     baseline (``repro bench --check``), so the numbers printed here
     are exactly the numbers future PRs are gated against.
     """
@@ -232,9 +223,7 @@ def _matrix_section(bench_dir="benchmarks"):
         "is split by a span bound, so M4-LSM's chunk-major sweep opens "
         "each once — the same loads as M4-UDF, never more; overlap "
         "moves merge cost onto M4-UDF and candidate iterations onto "
-        "M4-LSM; "
-        "deletes barely move either; parallelism never changes a "
-        "counter (pure I/O reordering); the warmed tile cache "
+        "M4-LSM; deletes barely move either; the warmed tile cache "
         "answers eligible viewports with zero chunk loads.  "
         "Cardinality 8/32 cells show query cost is flat in store "
         "series count while open/prepare cost is not.")

@@ -1,7 +1,7 @@
 """Converter for pre-schema ``BENCH_*.json`` artifacts.
 
-PRs 2-5 each wrote a hand-rolled ``{"rows": [...]}`` file with its own
-field set.  This module lifts those four shapes into the versioned
+Early artifacts were hand-rolled ``{"rows": [...]}`` files, each with its
+own field set.  This module lifts those three shapes into the versioned
 schema (:mod:`repro.bench.schema`) so `scripts/generate_experiments.py`
 and the gate only ever consume validated artifacts.  The rows
 themselves are preserved verbatim — only the envelope (schema version,
@@ -30,7 +30,6 @@ from .schema import (
 
 #: Row fields that uniquely identify each legacy artifact kind.
 _KIND_SIGNATURES = (
-    ("parallelism", "parallel_seconds"),
     ("durability", "verify_on_seconds"),
     ("tiles", "p50_speedup"),
     ("server", "shed_rate"),

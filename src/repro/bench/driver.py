@@ -2,12 +2,12 @@
 
 The paper sweeps one axis at a time; every TSMS benchmark suite sweeps
 a *matrix*, because the axes interact (overlap changes what deletes
-cost, parallelism changes what the tile cache saves, cardinality
-changes everything).  This driver owns that matrix:
+cost, ingest changes what the tile cache saves, cardinality changes
+everything).  This driver owns that matrix:
 
 * :func:`default_matrix` — the standing scenario grid: cardinality x
   overlap % x delete % x operator (m4udf/m4lsm/m4lsm-tiles) x
-  parallelism x tile-cache on/off, each cell flagged ``gate=True`` when
+  tile-cache on/off x ingest rate, each cell flagged ``gate=True`` when
   the CI regression gate watches it;
 * :func:`run_matrix` — runs cells through the existing
   :func:`~repro.bench.harness.prepare_engine` /
@@ -162,7 +162,6 @@ class CellConfig:
     overlap_pct: int = 0
     delete_pct: int = 0
     operator: str = "m4lsm"       # m4udf | m4lsm | m4lsm-tiles
-    parallelism: int = 1
     tiles: bool = False           # engine-level tile cache on/off
     w: int = 128
     seed: int = 0
@@ -171,13 +170,9 @@ class CellConfig:
 
     @property
     def cell_id(self):
-        # Idle cells keep the exact legacy id so baselines written
-        # before the ingest axis existed still line up; streaming
-        # cells append the new axes.
-        base = ("card=%d;ov=%d;del=%d;op=%s;par=%d;tiles=%s"
+        base = ("card=%d;ov=%d;del=%d;op=%s;tiles=%s"
                 % (self.cardinality, self.overlap_pct, self.delete_pct,
-                   self.operator, self.parallelism,
-                   "on" if self.tiles else "off"))
+                   self.operator, "on" if self.tiles else "off"))
         if self.ingest_rate:
             base += ";ingest=%d;skew=%s" % (self.ingest_rate, self.skew)
         return base
@@ -194,7 +189,7 @@ class CellConfig:
         idle cell must never inherit a pumped-into engine.
         """
         return (self.dataset, points, self.cardinality, self.overlap_pct,
-                self.delete_pct, self.parallelism, self.tiles, self.seed,
+                self.delete_pct, self.tiles, self.seed,
                 self.ingest_rate, self.skew)
 
 
@@ -207,12 +202,10 @@ class Cell:
 
 
 def default_matrix(dataset="MF03", w=128):
-    """The standing scenario matrix (26 cells, 12 gated).
+    """The standing scenario matrix (27 cells, 12 gated).
 
     * base grid: cardinality {1,8} x overlap {0,20}% x delete {0,20}%
       x operator {m4udf, m4lsm} — gated at cardinality 1;
-    * parallelism arm: the hardest base store (overlap 20, delete 20)
-      at 2 and 4 pipeline workers — gated at 4;
     * tile-cache arm: same store with the engine cache on, plain
       M4-LSM vs the tiled operator — gated at overlap 20;
     * cardinality arm: a 32-series store, ungated (prep-heavy; run on
@@ -234,11 +227,6 @@ def default_matrix(dataset="MF03", w=128):
                         dataset=dataset, cardinality=card, overlap_pct=ov,
                         delete_pct=dl, operator=op, w=w),
                         gate=(card == 1)))
-    for par in (2, 4):
-        for op in ("m4udf", "m4lsm"):
-            cells.append(Cell(CellConfig(
-                dataset=dataset, overlap_pct=20, delete_pct=20,
-                operator=op, parallelism=par, w=w), gate=(par == 4)))
     for ov in (0, 20):
         for op in ("m4lsm", "m4lsm-tiles"):
             cells.append(Cell(CellConfig(
@@ -313,7 +301,7 @@ def prepare_cell_engine(config, points):
     prepared = prepare_engine(
         dataset=config.dataset, n_points=points,
         overlap_pct=config.overlap_pct, delete_pct=config.delete_pct,
-        parallelism=config.parallelism, seed=config.seed,
+        seed=config.seed,
         tile_cache_bytes=TILE_CACHE_BYTES if config.tiles else 0)
     for name, t, v in generate_cell_data(config, points)[1:]:
         load_with_overlap(prepared.engine, name, t, v,
@@ -505,11 +493,10 @@ def run_matrix(cells=None, points=None, repeats=5, pattern=None,
     for i, (fingerprint, group) in enumerate(sorted(groups.items(),
                                                     key=lambda kv: kv[0])):
         config = group[0].config
-        say("engine %d/%d: card=%d ov=%d del=%d par=%d tiles=%s "
-            "(%d cells)" % (i + 1, len(groups), config.cardinality,
-                            config.overlap_pct, config.delete_pct,
-                            config.parallelism,
-                            "on" if config.tiles else "off", len(group)))
+        say("engine %d/%d: card=%d ov=%d del=%d tiles=%s (%d cells)"
+            % (i + 1, len(groups), config.cardinality, config.overlap_pct,
+               config.delete_pct, "on" if config.tiles else "off",
+               len(group)))
         with prepare_cell_engine(config, points) as prepared:
             references = {}
 

@@ -235,42 +235,6 @@ def headline_scaling(w=1000, point_counts=(100_000, 400_000, 1_000_000),
     return table
 
 
-def parallel_speedup(n_points=None, w=DEFAULT_W,
-                     overlap_pct=DEFAULT_OVERLAP, parallelism=4,
-                     repeats=1, datasets=DATASETS):
-    """E12 — serial vs parallel chunk pipeline, per dataset and operator.
-
-    Runs the same query against two engines over identical data — one
-    with ``parallelism=1``, one with the requested worker count — and
-    reports the wall-clock of both plus whether the results are exactly
-    equal (they must be: the pipeline's ordered fan-out is a pure
-    reordering of I/O, not of the merge).
-    """
-    tables = []
-    for dataset in datasets:
-        table = BenchTable(
-            "Parallel pipeline (%s): serial vs %d workers"
-            % (dataset, parallelism),
-            ["operator", "serial (s)", "parallel (s)", "speedup",
-             "identical"])
-        with prepare_engine(dataset, n_points=n_points,
-                            overlap_pct=overlap_pct) as serial, \
-                prepare_engine(dataset, n_points=n_points,
-                               overlap_pct=overlap_pct,
-                               parallelism=parallelism) as parallel:
-            for kind in ("m4udf", "m4lsm"):
-                serial_run = timed_query(make_operator(serial, kind),
-                                         serial, w, repeats=repeats)
-                parallel_run = timed_query(make_operator(parallel, kind),
-                                           parallel, w, repeats=repeats)
-                table.add_row(
-                    kind, serial_run.seconds, parallel_run.seconds,
-                    serial_run.seconds / max(parallel_run.seconds, 1e-9),
-                    serial_run.result == parallel_run.result)
-        tables.append(table)
-    return tables
-
-
 def tile_cache_speedup(n_points=None, w=512, overlap_pct=DEFAULT_OVERLAP,
                        delete_pct=DEFAULT_DELETE_PCT,
                        cache_bytes=64 * 1024 * 1024, seed=7,

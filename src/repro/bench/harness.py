@@ -66,8 +66,8 @@ class PreparedEngine:
 def prepare_engine(dataset="MF03", n_points=None, chunk_points=1000,
                    overlap_pct=0, delete_pct=0, n_deletes=None,
                    delete_range=None, data_dir=None, seed=0,
-                   points_per_page=None, parallelism=1,
-                   tile_cache_bytes=0, tile_cache_spans=64):
+                   points_per_page=None, tile_cache_bytes=0,
+                   tile_cache_spans=64):
     """Build an engine loaded with one dataset under one workload.
 
     Args:
@@ -78,7 +78,6 @@ def prepare_engine(dataset="MF03", n_points=None, chunk_points=1000,
         delete_pct / n_deletes / delete_range: delete workload
             (Figs. 13/14).
         data_dir: reuse a directory; a temp dir is created otherwise.
-        parallelism: chunk pipeline workers (1 = serial).
         tile_cache_bytes / tile_cache_spans: M4 tile cache knobs (E15;
             0 bytes = off, matching every other experiment).
     """
@@ -89,7 +88,6 @@ def prepare_engine(dataset="MF03", n_points=None, chunk_points=1000,
     config = StorageConfig(
         avg_series_point_number_threshold=chunk_points,
         points_per_page=points_per_page or chunk_points,
-        parallelism=parallelism,
         tile_cache_bytes=tile_cache_bytes,
         tile_cache_spans=tile_cache_spans)
     engine = StorageEngine(data_dir, config)

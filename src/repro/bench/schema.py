@@ -4,8 +4,8 @@ Every persisted benchmark result is one JSON document::
 
     {
       "schema": "repro-bench/1",
-      "kind": "matrix" | "parallelism" | "server" | "durability"
-              | "tiles" | "replication" | "shards",
+      "kind": "matrix" | "server" | "durability" | "tiles"
+              | "replication" | "shards",
       "meta":  { git_sha, python, platform, machine, cpu_count,
                  machine_id, points, repeats, created_unix, ... },
       "rows":  [ {...}, ... ]          # kind-specific row fields
@@ -59,15 +59,6 @@ ROW_FIELDS = {
         "wall": dict,
         "io": dict,
         "identity": dict,
-    },
-    "parallelism": {
-        "experiment": str,
-        "operator": str,
-        "parallelism": int,
-        "serial_seconds": _NUM,
-        "parallel_seconds": _NUM,
-        "speedup": _NUM,
-        "identical": bool,
     },
     "server": {
         "experiment": str,

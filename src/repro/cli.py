@@ -32,8 +32,8 @@ Commands:
 * ``profile``   — sampling wall-clock profiler: collapsed stacks from
               a running server (``--url``) or a local probe loop
 * ``bench``     — scenario-matrix benchmark driver: run the standing
-              cardinality x overlap x delete x operator x parallelism
-              x tile-cache matrix into one schema'd artifact
+              cardinality x overlap x delete x operator x tile-cache
+              matrix into one schema'd artifact
               (``--matrix``), and gate it against the checked-in
               baseline (``--check``, exit 1 on regression)
 
@@ -50,13 +50,6 @@ import sys
 from .datasets.generators import PROFILES
 from .datasets.loader import load_csv, save_csv
 from .errors import ReproError
-
-
-def _add_parallelism(subparser):
-    subparser.add_argument(
-        "--parallelism", type=int, default=1, metavar="N",
-        help="chunk pipeline worker threads (default 1 = serial; "
-             "results are identical at any setting)")
 
 
 def _add_tile_cache(subparser):
@@ -111,7 +104,6 @@ def build_parser():
     load.add_argument("--series", required=True, help="series name")
     load.add_argument("--csv", required=True, help="input CSV path")
     load.add_argument("--chunk-points", type=int, default=1000)
-    _add_parallelism(load)
     _add_shards(load)
 
     info = commands.add_parser("info", help="inspect a storage directory")
@@ -125,7 +117,6 @@ def build_parser():
     query.add_argument("--explain", action="store_true",
                        help="after the result table, print the span tree "
                             "and (for M4-LSM) the per-span query trace")
-    _add_parallelism(query)
     _add_tile_cache(query)
     _add_shards(query)
 
@@ -136,14 +127,12 @@ def build_parser():
     render.add_argument("--width", type=int, default=100)
     render.add_argument("--height", type=int, default=24)
     render.add_argument("--out", help="write a PBM image instead of ASCII")
-    _add_parallelism(render)
     _add_tile_cache(render)
     _add_shards(render)
 
     compact = commands.add_parser(
         "compact", help="fold overlaps and deletes into fresh chunks")
     compact.add_argument("--db", required=True)
-    _add_parallelism(compact)
 
     fsck = commands.add_parser(
         "fsck", help="verify every checksum in a store")
@@ -168,7 +157,6 @@ def build_parser():
                             "SERIES before reporting")
     stats.add_argument("--probe-w", type=int, default=100,
                        help="span count for the probe query")
-    _add_parallelism(stats)
 
     serve = commands.add_parser(
         "serve", help="serve a store over HTTP (queries, renders, stats)")
@@ -239,7 +227,6 @@ def build_parser():
                             "(enqueue), applied (WAL on this node) or "
                             "replicated (every live replica acked the "
                             "shipped frames)")
-    _add_parallelism(serve)
     _add_tile_cache(serve)
     _add_shards(serve)
 
@@ -344,7 +331,6 @@ def build_parser():
     trace.add_argument("--chrome", metavar="OUT",
                        help="write the trace as Chrome trace_event JSON "
                             "to OUT (open in about:tracing / Perfetto)")
-    _add_parallelism(trace)
     _add_tile_cache(trace)
 
     profile = commands.add_parser(
@@ -366,7 +352,6 @@ def build_parser():
     profile.add_argument("--out", metavar="FILE",
                          help="write collapsed stacks to FILE "
                               "(flamegraph.pl format) instead of stdout")
-    _add_parallelism(profile)
     _add_tile_cache(profile)
 
     bench = commands.add_parser(
@@ -430,11 +415,10 @@ def build_parser():
 
 
 def _engine_config(args, **overrides):
-    """A :class:`StorageConfig` from the common CLI knobs
-    (``--parallelism``, ``--tile-cache``)."""
+    """A :class:`StorageConfig` from the common CLI knob
+    (``--tile-cache``)."""
     from .storage.config import StorageConfig
-    return StorageConfig(parallelism=getattr(args, "parallelism", 1),
-                         tile_cache_bytes=getattr(args, "tile_cache", 0),
+    return StorageConfig(tile_cache_bytes=getattr(args, "tile_cache", 0),
                          **overrides)
 
 
@@ -898,8 +882,8 @@ def _cmd_trace(args):
     writes Chrome ``trace_event`` JSON instead).
 
     Local mode (``db``): run one fully-traced probe query against the
-    store and print its span tree — the offline way to see lock waits,
-    pipeline items and tile lookups without booting a server.
+    store and print its span tree — the offline way to see lock waits
+    and tile lookups without booting a server.
     Returns 0 on success, 1 on usage errors.
     """
     if args.url:

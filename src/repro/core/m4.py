@@ -128,12 +128,7 @@ class M4UDFOperator:
                                                   meta.version)]
             if degraded:
                 metas = self._drop_quarantined(metas, skipped)
-            with tracer.span("read.chunks", chunks=len(metas),
-                             parallelism=self._engine.parallelism):
-                # Fan chunk load+decode out over the engine's pipeline.
-                # Results return in submission order, so the merge below
-                # sees the same version-ordered sequence as a serial loop
-                # and the output is byte-identical.
+            with tracer.span("read.chunks", chunks=len(metas)):
                 chunk_arrays = self._load_chunks(data_reader, metas,
                                                  degraded, skipped)
             with tracer.span("merge", streaming=self._streaming):
@@ -162,29 +157,22 @@ class M4UDFOperator:
         return healthy
 
     def _load_chunks(self, data_reader, metas, degraded, skipped):
-        """``(t, v, version)`` per chunk; in degraded mode a chunk that
-        fails its checksum is quarantined and skipped instead of
-        aborting the query."""
-        if not degraded:
-            loaded = self._engine.parallel_map(data_reader.load_chunk,
-                                               metas)
-            return [(t, v, meta.version) for (t, v), meta
-                    in zip(loaded, metas)]
-
-        def load(meta):
-            try:
-                return data_reader.load_chunk(meta)
-            except CorruptFileError as exc:
-                self._engine.quarantine.add_meta(meta, reason=str(exc))
-                return None
-
-        loaded = self._engine.parallel_map(load, metas)
+        """``(t, v, version)`` per chunk, with a cancellation point
+        before each load; in degraded mode a chunk that fails its
+        checksum is quarantined and skipped instead of aborting the
+        query."""
         chunk_arrays = []
-        for arrays, meta in zip(loaded, metas):
-            if arrays is None:
+        for meta in metas:
+            check_deadline()
+            try:
+                t, v = data_reader.load_chunk(meta)
+            except CorruptFileError as exc:
+                if not degraded:
+                    raise
+                self._engine.quarantine.add_meta(meta, reason=str(exc))
                 skipped.append((meta.start_time, meta.end_time + 1))
-            else:
-                chunk_arrays.append((arrays[0], arrays[1], meta.version))
+                continue
+            chunk_arrays.append((t, v, meta.version))
         return chunk_arrays
 
     def merged_series(self, series_name, t_qs, t_qe, skipped=None):

@@ -70,7 +70,7 @@ class SpanSolver:
     """Solves the four representation functions for one span."""
 
     def __init__(self, views, real_deletes, data_reader, stats=None,
-                 lazy=True, use_regression=True, parallel_map=None):
+                 lazy=True, use_regression=True):
         if not views:
             raise StorageError("SpanSolver needs at least one chunk view")
         self._views = views
@@ -87,7 +87,6 @@ class SpanSolver:
         self._stats = stats
         self._lazy = lazy
         self._use_regression = use_regression
-        self._parallel_map = parallel_map
         self._iterations = 0
 
     def solve(self):
@@ -167,9 +166,7 @@ class SpanSolver:
         views = self._views
         for _ in range(_MAX_ITERATIONS):
             self._iterations += 1
-            pending = pending_views(views, function)
-            self._prefetch(pending)
-            for view in pending:
+            for view in pending_views(views, function):
                 recalc_bottom_top(view, self._real_deletes, self._reader,
                                   functions=(function,))
             pool = candidate_pool(views, function)
@@ -187,18 +184,6 @@ class SpanSolver:
                 view.excluded.add(candidate.t)
             view.invalidate(function)
         raise StorageError("BP/TP solve did not converge")
-
-    def _prefetch(self, pending):
-        """Fan the pending views' chunk loads out over the engine's
-        pipeline (a pure prefetch: each worker materializes a distinct
-        view's in-span data, after which the serial recalc below is all
-        in-memory, so results are identical to a serial load order)."""
-        unloaded = [view for view in pending if not view.loaded]
-        if self._parallel_map is None or len(unloaded) < 2:
-            return
-        self._parallel_map(
-            lambda view: load_view_data(view, self._real_deletes,
-                                        self._reader), unloaded)
 
 
 class M4LSMOperator:
@@ -345,8 +330,6 @@ class M4LSMOperator:
                 chunks = self._drop_quarantined(chunks, skipped)
             data_reader = self._engine.data_reader()
             stats = self._engine.stats
-            parallel_map = self._engine.parallel_map \
-                if self._engine.parallelism > 1 else None
 
             bounds = all_span_bounds(t_qs, t_qe, w)
             before = stats.snapshot() if collect_trace else None
@@ -398,8 +381,7 @@ class M4LSMOperator:
                         solver = SpanSolver(
                             views, real_deletes, data_reader,
                             stats=stats, lazy=self._lazy,
-                            use_regression=self._use_regression,
-                            parallel_map=parallel_map)
+                            use_regression=self._use_regression)
                         try:
                             spans.append(solver.solve())
                             break

@@ -50,7 +50,7 @@ class ReadOnlyError(StorageError):
 class DeadlineExceededError(ReproError):
     """Raised when a request's cooperative deadline expires mid-query.
 
-    The chunk pipeline and the M4 operators check the current thread's
+    The M4 operators and the tile stitcher check the current thread's
     deadline at their natural cancellation points, so a timed-out query
     aborts cleanly between chunks/spans instead of running to
     completion."""

@@ -25,9 +25,7 @@ The open-span stack is a *module-level* thread-local, so a span started
 on one thread can be re-rooted onto another: the admission worker pool
 wraps each job in :func:`activate` with the request's root span, and
 every engine span the job produces lands in that request's tree instead
-of dying at the thread boundary.  The same mechanism carries the trace
-into the chunk pipeline's worker threads (see
-``ChunkPipeline.map_ordered``).
+of dying at the thread boundary.
 
 Three helpers keep the cost of that machinery off the fast path:
 
@@ -54,8 +52,8 @@ import threading
 import time
 
 # The open-span stack: one `current` span per thread, shared by every
-# tracer in the process so spans can hop threads (admission workers,
-# chunk pipeline) via activate().
+# tracer in the process so spans can hop threads (admission workers)
+# via activate().
 _local = threading.local()
 
 
@@ -249,7 +247,7 @@ class Tracer:
         """A *detailed* span for a request-scoped trace.
 
         Detail propagates to every descendant: :func:`ambient_span`
-        call sites (per-chunk pipeline items, per-tile lookups) emit
+        call sites (per-tile lookups) emit
         real spans only inside a detailed tree, so request traces get
         full depth while ordinary engine spans stay phase-granular.
         """
@@ -319,8 +317,7 @@ class activate:
 def ambient_span(name, **attrs):
     """A child span of the thread's current span — detailed trees only.
 
-    The hook for per-item instrumentation (chunk pipeline items, tile
-    lookups): inside a request-scoped (:meth:`Tracer.root_span`) tree
+    The hook for per-item instrumentation (tile lookups): inside a request-scoped (:meth:`Tracer.root_span`) tree
     it creates a real span; under an ordinary engine span, or no span,
     it returns the shared no-op — one thread-local read and a flag
     check, nothing else.

@@ -5,7 +5,7 @@ Four pieces, stdlib-only (``http.server`` + ``urllib`` + the engine):
 * :mod:`repro.server.admission` — the bounded admission queue and
   worker pool: load shedding (503 + ``Retry-After``) when the queue is
   full, per-request deadlines enforced while queued *and* while
-  executing (cooperative cancellation through the chunk pipeline);
+  executing (cooperative cancellation between chunk loads and spans);
 * :mod:`repro.server.service` — transport-independent request
   execution: SQL queries, M4 chart renders, the observability
   snapshot, health; every response carries a request id and lands in

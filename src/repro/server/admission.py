@@ -14,8 +14,8 @@ number of them can execute queries concurrently because queries only
 take series read locks.  Each job carries a
 :class:`~repro.storage.deadline.Deadline`; a job that expires while
 still queued is failed without touching the engine, and one that
-expires mid-execution is aborted cooperatively at the chunk-pipeline /
-span checkpoints.
+expires mid-execution is aborted cooperatively at the per-chunk /
+per-span checkpoints.
 
 Shutdown is a drain: no new submissions, queued and in-flight jobs run
 to completion, workers exit on sentinel.

@@ -16,7 +16,7 @@ Requests are also *traced* end to end: the service parses the client's
 W3C ``traceparent`` header (or mints a trace id itself), opens a
 request-scoped root span around admission, and the worker re-roots the
 engine's spans under it — so one tree shows admission queue wait,
-worker hand-off, lock waits, per-chunk pipeline items and tile-cache
+worker hand-off, lock waits, operator phases and tile-cache
 lookups.  Completed trees land in the engine's
 :class:`~repro.obs.TraceStore` and are served by ``GET /trace`` (with
 Chrome ``trace_event`` export) plus joined to the slow-query log via

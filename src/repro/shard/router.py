@@ -213,11 +213,8 @@ class ShardRouter:
         self._metrics = MetricsRegistry(enabled=config.metrics_enabled)
         self._tracer = Tracer(stats=IoStats(), registry=self._metrics,
                               enabled=config.metrics_enabled)
-        self._slow_log = SlowQueryLog(config.slow_query_seconds,
-                                      config.slow_query_log_size)
-        self._traces = TraceStore(config.trace_capacity,
-                                  config.trace_sample_every,
-                                  config.slow_query_seconds)
+        self._slow_log = SlowQueryLog(config.slow_query_seconds)
+        self._traces = TraceStore(slow_seconds=config.slow_query_seconds)
         self._shards = []
         config_json = json.dumps(config_as_dict(config), sort_keys=True)
         try:

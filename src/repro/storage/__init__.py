@@ -19,7 +19,6 @@ from .memtable import MemTable
 from .merge import merge_arrays, merge_reference, merge_to_series
 from .mods import ModsFile
 from .page import PageMetadata, split_rows
-from .parallel import ChunkPipeline, in_worker_thread, serial_map
 from .quarantine import QuarantineRegistry
 from .readers import DataReader, MergeReader, MetadataReader
 from .statistics import Statistics
@@ -31,7 +30,6 @@ from .wal import WalManager, WriteAheadLog
 __all__ = [
     "CatalogFile",
     "ChunkMetadata",
-    "ChunkPipeline",
     "Compression",
     "DEFAULT_CONFIG",
     "DataReader",
@@ -63,14 +61,12 @@ __all__ = [
     "compact_all",
     "compact_series",
     "fsck_store",
-    "in_worker_thread",
     "list_tsfiles",
     "retry_io",
     "merge_arrays",
     "merge_reference",
     "merge_to_series",
     "recover_engine_state",
-    "serial_map",
     "split_rows",
     "write_chunk",
 ]

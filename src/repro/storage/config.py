@@ -2,7 +2,8 @@
 
 The defaults correspond to the experimental setup of the paper: large
 TsFiles, 1000 points per chunk, one page per chunk unless configured
-smaller, and compaction disabled.
+smaller, and no background compaction (Table 4's NO_COMPACTION: it runs
+only on an explicit ``repro compact``).
 """
 
 from __future__ import annotations
@@ -31,26 +32,17 @@ class StorageConfig:
     time_encoding: Encoding = Encoding.TS_2DIFF
     value_encoding: Encoding = Encoding.PLAIN
     compression: Compression = Compression.NONE
-    enable_compaction: bool = False   # Table 4: NO_COMPACTION
     build_chunk_index: bool = True    # step regression index at flush time
     enable_wal: bool = True           # write-ahead log for buffered points
     chunk_cache_points: int = 0       # shared decoded-page LRU (0 = off)
     metrics_enabled: bool = True      # repro.obs registry + span tracer
-    persist_metrics: bool = True      # write obs.json on engine close
-    parallelism: int = 1              # chunk pipeline workers (1 = serial)
     slow_query_seconds: float = 1.0   # slow-query log threshold
-    slow_query_log_size: int = 128    # slow-query ring capacity
     verify_checksums: bool = True     # CRC-check page payloads on read
     degraded_reads: bool = True       # skip+flag quarantined chunks (False: raise)
-    io_retry_attempts: int = 4        # transient-EIO retries per read
-    io_retry_base_delay: float = 0.005  # first backoff sleep (doubles, capped)
-    io_retry_max_delay: float = 0.1
     tile_cache_bytes: int = 0         # M4 tile LRU budget (0 = off)
     tile_cache_spans: int = 64        # spans (grid cells) per tile
     tile_cache_persist: bool = False  # snapshot tiles.cache on close
     tile_incremental: bool = True     # tail appends dirty cells, not tiles
-    trace_capacity: int = 256         # retained request traces (ring)
-    trace_sample_every: int = 16      # keep 1-in-N unsampled fast traces
 
     def __post_init__(self):
         if self.avg_series_point_number_threshold <= 0:
@@ -64,20 +56,10 @@ class StorageConfig:
             raise ValueError("chunks_per_tsfile must be positive")
         if self.chunk_cache_points < 0:
             raise ValueError("chunk_cache_points must be >= 0")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if self.slow_query_log_size <= 0:
-            raise ValueError("slow_query_log_size must be positive")
-        if self.io_retry_attempts < 1:
-            raise ValueError("io_retry_attempts must be >= 1")
         if self.tile_cache_bytes < 0:
             raise ValueError("tile_cache_bytes must be >= 0")
         if self.tile_cache_spans < 1:
             raise ValueError("tile_cache_spans must be >= 1")
-        if self.trace_capacity <= 0:
-            raise ValueError("trace_capacity must be positive")
-        if self.trace_sample_every < 0:
-            raise ValueError("trace_sample_every must be >= 0")
 
 
 DEFAULT_CONFIG = StorageConfig()

@@ -3,7 +3,7 @@
 A :class:`Deadline` is an absolute time budget.  The serving layer
 installs one for the current thread with :func:`deadline_scope`; the
 engine's long-running query phases call :func:`check_deadline` at their
-natural cancellation points — per chunk in the pipeline fan-out, per
+natural cancellation points — per chunk load in both operators, per
 span in the M4-LSM solve loop — and abort with
 :class:`~repro.errors.DeadlineExceededError` once the budget is spent.
 
@@ -11,10 +11,8 @@ Cancellation is *cooperative*: nothing is interrupted mid-decode, so a
 chunk that started loading finishes and the abort happens at the next
 checkpoint.  That keeps shared state (reader pool, chunk cache, I/O
 counters) consistent without any locking beyond what the engine already
-has.  The chunk pipeline re-installs the submitting thread's deadline
-inside its worker threads (see ``ChunkPipeline.map_ordered``), so
-cancellation propagates across the fan-out and queued work items fail
-fast instead of running after their request has already been answered.
+has.  The deadline is per thread; the shard router forwards the
+remaining budget across its pipe (see :func:`current_deadline`).
 """
 
 from __future__ import annotations

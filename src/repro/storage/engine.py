@@ -46,7 +46,6 @@ from .iostats import IoStats
 from .locks import LockWaitObs, RWLock
 from .memtable import MemTable
 from .mods import ModsFile
-from .parallel import ChunkPipeline, serial_map
 from .quarantine import QuarantineRegistry
 from .readers import DataReader, MetadataReader
 from .tsfile import TsFileReader, TsFileWriter
@@ -107,11 +106,8 @@ class StorageEngine:
         self._metrics = MetricsRegistry(enabled=config.metrics_enabled)
         self._tracer = Tracer(stats=self._stats, registry=self._metrics,
                               enabled=config.metrics_enabled)
-        self._slow_log = SlowQueryLog(config.slow_query_seconds,
-                                      config.slow_query_log_size)
-        self._traces = TraceStore(config.trace_capacity,
-                                  config.trace_sample_every,
-                                  config.slow_query_seconds)
+        self._slow_log = SlowQueryLog(config.slow_query_seconds)
+        self._traces = TraceStore(slow_seconds=config.slow_query_seconds)
         self._io_base = IoStats()  # counters persisted by prior sessions
         self._load_obs_snapshot()
         # Engine-level lock: catalog, versions, active writer, reader
@@ -127,8 +123,6 @@ class StorageEngine:
         self._file_seq = 0
         self._readers = {}
         self._closed = False
-        self._pipeline = ChunkPipeline(config.parallelism) \
-            if config.parallelism > 1 else None
         self._mods = ModsFile(os.path.join(self._data_dir, "deletes.mods"))
         self._catalog = CatalogFile(os.path.join(self._data_dir,
                                                  "catalog.meta"))
@@ -279,8 +273,7 @@ class StorageEngine:
         a torn JSON behind that poisons the next startup.  Best-effort:
         failures never block close().
         """
-        if not (self._config.metrics_enabled
-                and self._config.persist_metrics):
+        if not self._config.metrics_enabled:
             return
         data = {"metrics": self._metrics.snapshot(),
                 "iostats": (self._io_base + self._stats.snapshot())
@@ -573,10 +566,7 @@ class StorageEngine:
         return TsFileReader(
             path, self._stats,
             verify_checksums=self._config.verify_checksums,
-            on_retry=self._on_io_retry,
-            retry_attempts=self._config.io_retry_attempts,
-            retry_base_delay=self._config.io_retry_base_delay,
-            retry_max_delay=self._config.io_retry_max_delay)
+            on_retry=self._on_io_retry)
 
     def tsfile_reader(self, path):
         """Pooled :class:`TsFileReader` for a sealed file.
@@ -591,24 +581,6 @@ class StorageEngine:
             if path not in self._readers:
                 self._readers[path] = self._open_reader(path)
             return self._readers[path]
-
-    # -- parallel chunk pipeline ---------------------------------------------------------
-
-    @property
-    def parallelism(self):
-        """Worker count of the chunk pipeline (1 = serial)."""
-        return self._config.parallelism
-
-    def parallel_map(self, fn, items):
-        """``[fn(x) for x in items]`` through the shared chunk pipeline.
-
-        Results come back in submission order, so callers that merge
-        them see the serial sequence and produce byte-identical output.
-        Serial when ``parallelism`` is 1 or from within a pool worker.
-        """
-        if self._pipeline is None:
-            return serial_map(fn, items)
-        return self._pipeline.map_ordered(fn, items)
 
     # -- query surface -----------------------------------------------------------------
 
@@ -917,8 +889,6 @@ class StorageEngine:
             self._readers.clear()
             if self._wal is not None:
                 self._wal.close()
-        if self._pipeline is not None:
-            self._pipeline.shutdown()
         self._persist_tiles()
         self._persist_obs()
 

@@ -91,11 +91,11 @@ class DataReader:
         """Per-query map first, then the engine's shared cache, then
         an actual (counted) decode.
 
-        Thread-safe for the parallel chunk pipeline: the per-query map
-        is guarded by a lock, and the decode itself runs outside it so
-        pool workers decode different pages concurrently.  Two workers
-        racing on the *same* page may both decode it — the arrays are
-        identical, so the race is benign (the duplicate is dropped).
+        Thread-safe: the per-query map is guarded by a lock, and the
+        decode itself runs outside it, so threads sharing a reader never
+        wait on each other's decode.  Two threads racing on the *same*
+        page may both decode it — the arrays are identical, so the race
+        is benign (the duplicate is dropped).
         """
         with self._page_lock:
             if key in self._page_cache:

@@ -138,9 +138,9 @@ class TsFileReader:
     One reader per file; the storage engine keeps a pool of them, so one
     reader may serve many concurrent queries.  Seek+read pairs on the
     shared file handle are serialized by an internal lock; the expensive
-    page decode (numpy + zlib, both GIL-releasing) happens outside it,
-    which is what makes the parallel chunk pipeline pay.  Every byte
-    fetched and every page decoded is charged to ``stats``.
+    page decode happens outside it, so concurrent queries on one file
+    only contend for the read itself.  Every byte fetched and every page
+    decoded is charged to ``stats``.
 
     ``verify_checksums`` controls the per-payload CRC check on page
     reads (v1 pages carry no CRC and are never checked).  A payload is

@@ -13,11 +13,6 @@ from repro.bench.convert import (
 )
 
 LEGACY_ROWS = {
-    "parallelism": {
-        "experiment": "E13", "operator": "m4lsm", "parallelism": 4,
-        "serial_seconds": 1.0, "parallel_seconds": 0.4, "speedup": 2.5,
-        "identical": True,
-    },
     "server": {
         "experiment": "E14", "mode": "shed", "users": 16, "total": 400,
         "ok": 390, "shed": 10, "timeouts": 0, "throughput": 120.0,
@@ -73,8 +68,8 @@ class TestConvertLegacy:
         assert doc["rows"][0]["extra_field"] == "kept"
 
     def test_legacy_row_missing_fields_rejected(self):
-        row = dict(LEGACY_ROWS["parallelism"])
-        del row["speedup"]
+        row = dict(LEGACY_ROWS["tiles"])
+        del row["identical"]
         with pytest.raises(SchemaError):
             convert_legacy({"rows": [row]})
 
@@ -100,8 +95,8 @@ class TestConvertFile:
         assert open(path, encoding="utf-8").read() == before
 
     def test_main_reports_per_file(self, tmp_path, capsys):
-        good = self.write(tmp_path / "BENCH_parallelism.json",
-                          {"rows": [LEGACY_ROWS["parallelism"]]})
+        good = self.write(tmp_path / "BENCH_server.json",
+                          {"rows": [LEGACY_ROWS["server"]]})
         bad = self.write(tmp_path / "BENCH_junk.json", {"rows": [{}]})
         assert main([good, bad]) == 1
         captured = capsys.readouterr()
@@ -115,7 +110,6 @@ class TestConvertFile:
 
 class TestRepoArtifacts:
     @pytest.mark.parametrize("name,kind", [
-        ("BENCH_parallelism.json", "parallelism"),
         ("BENCH_server.json", "server"),
         ("BENCH_durability.json", "durability"),
         ("BENCH_tiles.json", "tiles"),

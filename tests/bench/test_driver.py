@@ -79,16 +79,15 @@ class TestMatrixShape:
         assert any(c.config.cardinality > 1 for c in cells)
         assert any(c.config.overlap_pct > 0 for c in cells)
         assert any(c.config.delete_pct > 0 for c in cells)
-        assert any(c.config.parallelism > 1 for c in cells)
         assert any(c.config.tiles for c in cells)
         assert {c.config.operator for c in cells} \
             == {"m4udf", "m4lsm", "m4lsm-tiles"}
 
     def test_cell_id_format(self):
         config = CellConfig(cardinality=8, overlap_pct=20, delete_pct=10,
-                            operator="m4udf", parallelism=4, tiles=True)
+                            operator="m4udf", tiles=True)
         assert config.cell_id \
-            == "card=8;ov=20;del=10;op=m4udf;par=4;tiles=on"
+            == "card=8;ov=20;del=10;op=m4udf;tiles=on"
 
     def test_fingerprint_shared_across_operators(self):
         a = CellConfig(operator="m4udf", overlap_pct=20)
@@ -102,8 +101,9 @@ class TestMatrixShape:
         cells = default_matrix()
         tiles = select_cells(cells, pattern="tiles=on")
         assert tiles and all(c.config.tiles for c in tiles)
-        both = select_cells(cells, pattern="par=4,card=32")
-        assert all(c.config.parallelism == 4
+        both = select_cells(cells, pattern="op=m4lsm-tiles,card=32")
+        assert both
+        assert all(c.config.operator == "m4lsm-tiles"
                    or c.config.cardinality == 32 for c in both)
 
     def test_select_cells_gated_token(self):

@@ -37,10 +37,10 @@ def cell_row(cell_id, gate=True, p50=0.100, spread=0.02, chunk_loads=120,
 
 def artifact(rows=None):
     rows = rows if rows is not None else [
-        cell_row("card=1;ov=0;del=0;op=m4lsm;par=1;tiles=off"),
-        cell_row("card=1;ov=20;del=20;op=m4lsm;par=1;tiles=off",
+        cell_row("card=1;ov=0;del=0;op=m4lsm;tiles=off"),
+        cell_row("card=1;ov=20;del=20;op=m4lsm;tiles=off",
                  p50=0.150, chunk_loads=180),
-        cell_row("card=32;ov=0;del=0;op=m4lsm;par=1;tiles=off",
+        cell_row("card=32;ov=0;del=0;op=m4lsm;tiles=off",
                  gate=False, p50=0.900),
     ]
     return new_artifact("matrix", rows, POINTS)
@@ -216,7 +216,7 @@ class TestCheckCli:
     def test_list_prints_the_matrix(self, capsys):
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "card=1;ov=0;del=0;op=m4udf;par=1;tiles=off" in out
+        assert "card=1;ov=0;del=0;op=m4udf;tiles=off" in out
         assert "[gated]" in out
 
     def test_nothing_to_do_is_an_error(self, capsys):

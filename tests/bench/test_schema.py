@@ -15,7 +15,7 @@ from repro.bench import (
 from repro.bench.schema import META_FIELDS, artifact_meta, machine_id
 
 
-def matrix_row(cell_id="card=1;ov=0;del=0;op=m4lsm;par=1;tiles=off",
+def matrix_row(cell_id="card=1;ov=0;del=0;op=m4lsm;tiles=off",
                gate=True, p50=0.01, chunk_loads=10):
     return {
         "id": cell_id,

@@ -76,8 +76,7 @@ def test_flush_vs_query(tmp_path, seed):
     over the committed range succeeds without torn reads.
     """
     config = StorageConfig(avg_series_point_number_threshold=40,
-                           points_per_page=20, chunks_per_tsfile=4,
-                           parallelism=2)
+                           points_per_page=20, chunks_per_tsfile=4)
     engine = StorageEngine(tmp_path / "db", config)
     engine.create_series("s")
     interleave = Interleaver(seed)

@@ -14,8 +14,8 @@ Two regimes, both at 8 threads x 100 iterations:
   exactly the written points minus the deleted ranges, with both
   operators agreeing.
 
-Every run uses ``parallelism=2`` and a shared ChunkCache, so the chunk
-pipeline and cache eviction race against the engine locks too.
+Every run uses a shared ChunkCache, so cache eviction races against
+the engine locks too.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ W = 16                   # spans per stress query
 
 def _config():
     return StorageConfig(avg_series_point_number_threshold=THRESHOLD,
-                         points_per_page=20, chunk_cache_points=2_000,
-                         parallelism=2)
+                         points_per_page=20, chunk_cache_points=2_000)
 
 
 def _value_of(t):

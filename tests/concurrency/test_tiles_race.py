@@ -33,7 +33,7 @@ def test_invalidation_vs_query(tmp_path, seed):
     # checkers never hit the "unflushed points" guard (the same shape as
     # test_races.test_flush_vs_query).
     config = StorageConfig(avg_series_point_number_threshold=32,
-                           points_per_page=16, parallelism=2,
+                           points_per_page=16,
                            tile_cache_bytes=4 * 1024 * 1024,
                            tile_cache_spans=8)
     interleave = Interleaver(seed)

@@ -73,7 +73,7 @@ def _final_state(engine, name):
 def test_concurrent_equals_sequential_per_series(tmp_path_factory,
                                                  programs):
     config = StorageConfig(avg_series_point_number_threshold=25,
-                           points_per_page=10, parallelism=2)
+                           points_per_page=10)
     base = tmp_path_factory.mktemp("prop-conc")
     names = ["s%d" % i for i in range(len(programs))]
 

@@ -43,8 +43,7 @@ def make_served(tmp_path):
     """
     alive = []
 
-    def build(n=6000, parallelism=1, storage_kwargs=None,
-              **config_kwargs):
+    def build(n=6000, storage_kwargs=None, **config_kwargs):
         config_kwargs.setdefault("port", 0)
         config_kwargs.setdefault("quiet", True)
         config_kwargs.setdefault("debug_hooks", True)
@@ -52,7 +51,6 @@ def make_served(tmp_path):
         engine = StorageEngine(
             data_dir,
             StorageConfig(avg_series_point_number_threshold=200,
-                          parallelism=parallelism,
                           **(storage_kwargs or {})))
         load_ball(engine, n=n)
         handle = start_server(engine, ServerConfig(**config_kwargs))

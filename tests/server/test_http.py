@@ -136,11 +136,10 @@ class TestRenderIdentical:
                      "--out", str(out)]) == 0
         assert wire == out.read_bytes()
 
-    def test_pbm_stable_across_parallelism_and_workers(self, served,
-                                                       make_served):
+    def test_pbm_stable_across_workers(self, served, make_served):
         reference = served.client.render("ball", width=40, height=12,
                                          fmt="pbm")
-        other = make_served(parallelism=4, workers=2, queue_depth=4)
+        other = make_served(workers=2, queue_depth=4)
         assert other.client.render("ball", width=40, height=12,
                                    fmt="pbm") == reference
 

@@ -14,7 +14,6 @@ from repro.storage.deadline import (
     current_deadline,
     deadline_scope,
 )
-from repro.storage.parallel import ChunkPipeline
 
 
 class TestDeadline:
@@ -52,52 +51,43 @@ class TestDeadline:
                 check_deadline()
 
 
-class TestPipelineCancellation:
-    def test_map_ordered_aborts_parallel_fanout(self):
-        with ChunkPipeline(workers=2) as pipeline:
-            with deadline_scope(Deadline(0.05)):
+class TestChunkLoadCancellation:
+    def test_m4udf_stops_loading_chunks_once_expired(self, tmp_path,
+                                                     monkeypatch):
+        import numpy as np
+        from repro.storage.readers import DataReader
+
+        load_chunk = DataReader.load_chunk
+
+        def slow_load_chunk(self, *args, **kwargs):
+            time.sleep(0.02)
+            return load_chunk(self, *args, **kwargs)
+
+        n_chunks = 24
+        t = np.arange(50 * n_chunks, dtype=np.int64) * 10
+        with StorageEngine(tmp_path / "db", StorageConfig(
+                avg_series_point_number_threshold=50)) as engine:
+            engine.create_series("s")
+            engine.write_batch("s", t, np.sin(t / 100.0))
+            engine.flush_all()
+            assert len(engine.chunks_for("s")) == n_chunks
+            monkeypatch.setattr(DataReader, "load_chunk", slow_load_chunk)
+            before = engine.stats.snapshot()
+            with deadline_scope(Deadline(0.1)):
                 with pytest.raises(DeadlineExceededError):
-                    pipeline.map_ordered(
-                        lambda i: time.sleep(0.05) or i, list(range(20)))
-
-    def test_serial_map_aborts(self):
-        from repro.storage.parallel import serial_map
-        with deadline_scope(Deadline(0.05)):
-            with pytest.raises(DeadlineExceededError):
-                serial_map(lambda i: time.sleep(0.05) or i,
-                           list(range(20)))
-
-    def test_map_ordered_aborts_after_shutdown_fallback(self):
-        pipeline = ChunkPipeline(workers=2)
-        pipeline.shutdown()  # maps now run serially
-        with deadline_scope(Deadline(0.05)):
-            with pytest.raises(DeadlineExceededError):
-                pipeline.map_ordered(lambda i: time.sleep(0.05) or i,
-                                     list(range(20)))
-
-    def test_map_ordered_unaffected_without_deadline(self):
-        with ChunkPipeline(workers=2) as pipeline:
-            assert pipeline.map_ordered(lambda i: i + 1,
-                                        list(range(8))) == list(range(1, 9))
-
-    def test_worker_threads_see_the_deadline(self):
-        seen = []
-        deadline = Deadline(30.0)
-        with ChunkPipeline(workers=2) as pipeline:
-            with deadline_scope(deadline):
-                pipeline.map_ordered(
-                    lambda i: seen.append(current_deadline()), [0, 1, 2])
-        assert seen == [deadline] * 3
+                    M4UDFOperator(engine).query("s", 0, int(t[-1]) + 1, 20)
+            # The per-chunk checkpoint stops the loop mid-load: the
+            # remaining chunks are never read.
+            assert engine.stats.diff(before).chunk_loads < n_chunks
 
 
-@pytest.mark.parametrize("parallelism", [1, 4])
 class TestQueryCancellation:
-    def _loaded(self, tmp_path, parallelism, n=800):
+    def _loaded(self, tmp_path, n=800):
         import numpy as np
         engine = StorageEngine(
             tmp_path / "db",
             StorageConfig(avg_series_point_number_threshold=50,
-                          points_per_page=20, parallelism=parallelism))
+                          points_per_page=20))
         t = np.arange(n, dtype=np.int64) * 10
         v = np.round(np.random.default_rng(0).normal(0.0, 10.0, n), 3)
         engine.create_series("s")
@@ -105,16 +95,16 @@ class TestQueryCancellation:
         engine.flush_all()
         return engine
 
-    def test_m4lsm_aborts_on_expired_deadline(self, tmp_path, parallelism):
-        with self._loaded(tmp_path, parallelism) as engine:
+    def test_m4lsm_aborts_on_expired_deadline(self, tmp_path):
+        with self._loaded(tmp_path) as engine:
             operator = M4LSMOperator(engine)
             assert operator.query("s", 0, 8000, 20).spans  # sane baseline
             with deadline_scope(Deadline(-1.0)):
                 with pytest.raises(DeadlineExceededError):
                     operator.query("s", 0, 8000, 20)
 
-    def test_m4udf_aborts_on_expired_deadline(self, tmp_path, parallelism):
-        with self._loaded(tmp_path, parallelism) as engine:
+    def test_m4udf_aborts_on_expired_deadline(self, tmp_path):
+        with self._loaded(tmp_path) as engine:
             with deadline_scope(Deadline(-1.0)):
                 with pytest.raises(DeadlineExceededError):
                     M4UDFOperator(engine).query("s", 0, 8000, 20)

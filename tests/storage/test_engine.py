@@ -198,7 +198,7 @@ class TestCloseLifecycle:
         engine = StorageEngine(
             tmp_path / "db",
             StorageConfig(avg_series_point_number_threshold=50,
-                          points_per_page=20, parallelism=2))
+                          points_per_page=20))
         t = np.arange(2000, dtype=np.int64) * 5
         engine.create_series("s")
         engine.write_batch("s", t, np.sin(t / 37.0))

@@ -28,7 +28,6 @@ class TestStorageConfig:
     def test_defaults_match_table4(self):
         config = StorageConfig()
         assert config.avg_series_point_number_threshold == 1000
-        assert not config.enable_compaction
         assert config.time_encoding == Encoding.TS_2DIFF
 
     def test_page_clamped_to_chunk_size(self):
