@@ -1,104 +1,82 @@
 """Metadata-accelerated GROUP BY aggregation, after IoTDB's
 ``GroupByExecutor``.
 
-The same chunk statistics that power M4-LSM answer the classic span
+A :class:`~repro.storage.statistics.Statistics` carries all nine span
 aggregates — ``count``, ``sum``, ``avg``, ``min_value``, ``max_value``,
-``min_time``, ``max_time``, ``first_value``, ``last_value`` — without
-reading data, whenever a chunk is *uncontested*: fully inside the span,
-not overlapping any other chunk, and untouched by deletes.  Contested
-chunks fall back to loading their in-span points and merging, exactly as
-IoTDB does when a chunk is "modified or overlapped".
+``min_time``, ``max_time``, ``first_value``, ``last_value`` — so
+:func:`aggregate_lsm` is *sweep + fold*.  M4-LSM's sweep
+(:func:`~repro.core.m4lsm.lazyload.sweep_spans`, each split chunk opened
+once) gives every span its members: whole chunks and exact
+:class:`~repro.core.m4lsm.candidates.Fragment` s.  A member is
+*contested* when its chunk's interval meets another chunk's or a newer
+delete (:func:`~repro.storage.overlap.contested_versions`); only then
+can its statistics disagree with its surviving points.  Uncontested
+members fold their statistics (:meth:`Statistics.merge`, no data read);
+a span's contested members are merged with ``merge_arrays`` — a
+contested whole chunk lies in one span, so it too is loaded once — and
+fold in as one :meth:`Statistics.from_arrays`.
 
-Two entry points:
-
-* :func:`aggregate_lsm` — the accelerated operator.
-* :func:`aggregate_udf` — the merge-everything baseline (oracle in
-  tests, baseline in benches).
+:func:`aggregate_udf` is the merge-everything baseline (oracle in tests,
+baseline in benches): M4-UDF's merged series, one ``Statistics`` per
+span.  Both honour the degraded-read mode like the M4 operators.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+from functools import partial, reduce
+from operator import attrgetter
 
 import numpy as np
 
 from ..errors import QueryError
+from ..storage.deadline import check_deadline
 from ..storage.merge import merge_arrays
 from ..storage.overlap import contested_versions
+from ..storage.statistics import Statistics
+from .m4 import (
+    M4UDFOperator,
+    degraded_mode,
+    drop_quarantined,
+    load_chunks,
+    quarantine_chunk,
+)
+from .m4lsm.candidates import Fragment
+from .m4lsm.lazyload import sweep_spans
+from .result import merge_time_ranges
 from .spans import all_span_bounds, span_indices, validate_query
 
+#: Each aggregate, read off a span's final statistics.
+_READERS = {
+    "count": attrgetter("count"),
+    "sum": attrgetter("value_sum"),
+    "avg": attrgetter("mean"),
+    "min_value": attrgetter("bottom.v"),
+    "max_value": attrgetter("top.v"),
+    "min_time": attrgetter("first.t"),
+    "max_time": attrgetter("last.t"),
+    "first_value": attrgetter("first.v"),
+    "last_value": attrgetter("last.v"),
+}
+
 #: Supported aggregate function names.
-AGGREGATE_NAMES = ("count", "sum", "avg", "min_value", "max_value",
-                   "min_time", "max_time", "first_value", "last_value")
-
-
-@dataclasses.dataclass
-class SpanAccumulator:
-    """Running aggregate state for one span."""
-
-    count: int = 0
-    value_sum: float = 0.0
-    min_value: float = math.inf
-    max_value: float = -math.inf
-    min_time: int = None
-    max_time: int = None
-    first_value: float = None
-    last_value: float = None
-
-    def add_statistics(self, stats):
-        """Fold one uncontested chunk's statistics in (no data read)."""
-        self.count += stats.count
-        self.value_sum += stats.value_sum
-        self.min_value = min(self.min_value, stats.bottom.v)
-        self.max_value = max(self.max_value, stats.top.v)
-        if self.min_time is None or stats.first.t < self.min_time:
-            self.min_time = stats.first.t
-            self.first_value = stats.first.v
-        if self.max_time is None or stats.last.t > self.max_time:
-            self.max_time = stats.last.t
-            self.last_value = stats.last.v
-
-    def add_arrays(self, t, v):
-        """Fold raw in-span points in (the contested-chunk path)."""
-        if t.size == 0:
-            return
-        self.count += int(t.size)
-        self.value_sum += float(v.sum())
-        self.min_value = min(self.min_value, float(v.min()))
-        self.max_value = max(self.max_value, float(v.max()))
-        if self.min_time is None or int(t[0]) < self.min_time:
-            self.min_time = int(t[0])
-            self.first_value = float(v[0])
-        if self.max_time is None or int(t[-1]) > self.max_time:
-            self.max_time = int(t[-1])
-            self.last_value = float(v[-1])
-
-    def get(self, function):
-        """The value of one named aggregate (None for an empty span)."""
-        if self.count == 0:
-            return None
-        if function == "count":
-            return self.count
-        if function == "sum":
-            return self.value_sum
-        if function == "avg":
-            return self.value_sum / self.count
-        if function in ("min_value", "max_value", "min_time", "max_time",
-                        "first_value", "last_value"):
-            return getattr(self, function)
-        raise QueryError("unknown aggregate %r" % function)
+AGGREGATE_NAMES = tuple(_READERS)
 
 
 @dataclasses.dataclass(frozen=True)
 class AggregateResult:
-    """Per-span values for the requested aggregate functions."""
+    """Per-span values for the requested aggregate functions.
+
+    ``skipped`` holds the canonical time ranges of damaged chunks a
+    degraded read left out, as for :class:`~repro.core.result.M4Result`.
+    """
 
     t_qs: int
     t_qe: int
     w: int
     functions: tuple
     rows: tuple  # one tuple per span, aligned with `functions`
+    skipped: tuple = dataclasses.field(default=(), compare=False)
 
     def __len__(self):
         return self.w
@@ -127,77 +105,69 @@ def _validate_functions(functions):
     return functions
 
 
-def aggregate_udf(engine, series, t_qs, t_qe, w, functions):
-    """Baseline: merge every overlapping chunk, then group and fold."""
+def aggregate_udf(engine, series, t_qs, t_qe, w, functions, degraded=None):
+    """Baseline: merge every overlapping chunk, then one ``Statistics``
+    per occupied span."""
     functions = _validate_functions(functions)
     validate_query(t_qs, t_qe, w)
-    deletes = engine.deletes_for(series)
-    reader = engine.data_reader()
-    chunks = [(*reader.load_chunk(meta), meta.version)
-              for meta in engine.metadata_reader(series)
-              .chunks_overlapping(t_qs, t_qe)]
-    t, v = merge_arrays(chunks, deletes)
-    lo = int(np.searchsorted(t, t_qs, side="left"))
-    hi = int(np.searchsorted(t, t_qe, side="left"))
-    t, v = t[lo:hi], v[lo:hi]
-    accumulators = [SpanAccumulator() for _ in range(w)]
+    skipped = []
+    merged = M4UDFOperator(engine, degraded=degraded).merged_series(
+        series, t_qs, t_qe, skipped=skipped)
+    t, v = merged.timestamps, merged.values
+    per_span = [None] * w
     if t.size:
         spans = span_indices(t, t_qs, t_qe, w)
         occupied, starts = np.unique(spans, return_index=True)
         ends = np.append(starts[1:], t.size)
-        for span, start, end in zip(occupied, starts, ends):
-            accumulators[int(span)].add_arrays(t[start:end], v[start:end])
-    return _materialize(accumulators, t_qs, t_qe, w, functions)
+        for span, start, end in zip(occupied.tolist(), starts.tolist(),
+                                    ends.tolist()):
+            per_span[span] = Statistics.from_arrays(t[start:end],
+                                                    v[start:end])
+    return _materialize(per_span, t_qs, t_qe, w, functions, skipped)
 
 
-def aggregate_lsm(engine, series, t_qs, t_qe, w, functions):
-    """Metadata-accelerated aggregation.
+def aggregate_lsm(engine, series, t_qs, t_qe, w, functions, degraded=None):
+    """Metadata-accelerated aggregation: M4-LSM's sweep, then a fold.
 
-    Uncontested chunks fully inside a span contribute their statistics;
-    all other in-span data is loaded once per span (delete-filtered and
-    version-merged) and folded in as raw arrays.
+    Loads each split chunk once (the sweep) and each contested whole
+    chunk once; uncontested members contribute their statistics only.
     """
     functions = _validate_functions(functions)
     validate_query(t_qs, t_qe, w)
-    deletes = engine.deletes_for(series)
-    reader = engine.data_reader()
+    degraded = degraded_mode(engine, degraded)
+    skipped = []
     chunks = engine.metadata_reader(series).chunks_overlapping(t_qs, t_qe)
+    deletes = engine.deletes_for(series)
+    if degraded:
+        chunks = drop_quarantined(engine, chunks, skipped)
+    reader = engine.data_reader()
+    members_per_span, _, _ = sweep_spans(
+        chunks, all_span_bounds(t_qs, t_qe, w), deletes, reader,
+        partial(quarantine_chunk, engine, skipped) if degraded else None)
     contested = contested_versions(chunks, deletes)
-    bounds = all_span_bounds(t_qs, t_qe, w)
-    duration = t_qe - t_qs
 
-    per_span = [[] for _ in range(w)]
-    for meta in chunks:
-        lo = max(meta.start_time, t_qs)
-        hi = min(meta.end_time, t_qe - 1)
-        first_span = int((lo - t_qs) * w // duration)
-        last_span = int((hi - t_qs) * w // duration)
-        for i in range(first_span, last_span + 1):
-            per_span[i].append(meta)
-
-    accumulators = [SpanAccumulator() for _ in range(w)]
-    for i in range(w):
-        start, end = int(bounds[i]), int(bounds[i + 1])
-        if start >= end or not per_span[i]:
-            continue
-        accumulator = accumulators[i]
-        leftovers = []
-        for meta in per_span[i]:
-            stats = meta.statistics
-            if meta.version not in contested and stats.inside(start, end):
-                accumulator.add_statistics(stats)
-            else:
-                leftovers.append(meta)
-        if leftovers:
-            arrays = [(*reader.load_chunk(meta, deletes=deletes,
-                                          time_range=(start, end)),
-                       meta.version) for meta in leftovers]
-            t, v = merge_arrays(arrays)
-            accumulator.add_arrays(t, v)
-    return _materialize(accumulators, t_qs, t_qe, w, functions)
+    per_span = []
+    for members in members_per_span:
+        check_deadline()  # cancellation point: between spans
+        parts = [m.statistics for m in members if m.version not in contested]
+        loose = [m for m in members if m.version in contested]
+        if loose:
+            arrays = [(m.data_t, m.data_v, m.version) for m in loose
+                      if isinstance(m, Fragment)]
+            arrays += load_chunks(engine, reader, [
+                m for m in loose if not isinstance(m, Fragment)],
+                degraded, skipped)
+            t, v = merge_arrays(arrays, deletes)
+            if t.size:
+                parts.append(Statistics.from_arrays(t, v))
+        per_span.append(reduce(Statistics.merge, parts) if parts else None)
+    return _materialize(per_span, t_qs, t_qe, w, functions, skipped)
 
 
-def _materialize(accumulators, t_qs, t_qe, w, functions):
-    rows = tuple(tuple(acc.get(f) for f in functions)
-                 for acc in accumulators)
-    return AggregateResult(int(t_qs), int(t_qe), int(w), functions, rows)
+def _materialize(per_span, t_qs, t_qe, w, functions, skipped):
+    readers = [_READERS[f] for f in functions]
+    rows = tuple((None,) * len(readers) if stats is None
+                 else tuple(read(stats) for read in readers)
+                 for stats in per_span)
+    return AggregateResult(int(t_qs), int(t_qe), int(w), functions, rows,
+                           skipped=merge_time_ranges(skipped, t_qs, t_qe))

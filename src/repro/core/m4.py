@@ -79,6 +79,57 @@ def _count_degraded(engine, operator_name):
                         operator=operator_name).inc()
 
 
+def degraded_mode(engine, degraded):
+    """The effective degraded-read mode: ``degraded`` when given, else
+    ``engine.config.degraded_reads``."""
+    if degraded is not None:
+        return degraded
+    return getattr(engine.config, "degraded_reads", True)
+
+
+def drop_quarantined(engine, metas, skipped):
+    """Filter out already-quarantined chunks, recording their ranges."""
+    quarantine = getattr(engine, "quarantine", None)
+    if quarantine is None or not len(quarantine):
+        return metas
+    healthy = []
+    for meta in metas:
+        if quarantine.contains_meta(meta):
+            skipped.append((meta.start_time, meta.end_time + 1))
+        else:
+            healthy.append(meta)
+    return healthy
+
+
+def quarantine_chunk(engine, skipped, exc, meta):
+    """Quarantine a chunk that failed its checksum; record its range.
+
+    ``functools.partial(quarantine_chunk, engine, skipped)`` is the
+    sweep's degraded-mode ``on_damage`` callback."""
+    quarantine = getattr(engine, "quarantine", None)
+    if quarantine is not None:
+        quarantine.add_meta(meta, reason=str(exc))
+    skipped.append((meta.start_time, meta.end_time + 1))
+
+
+def load_chunks(engine, data_reader, metas, degraded, skipped):
+    """``(t, v, version)`` per chunk, with a cancellation point before
+    each load; in degraded mode a chunk that fails its checksum is
+    quarantined and skipped instead of aborting the query."""
+    chunk_arrays = []
+    for meta in metas:
+        check_deadline()
+        try:
+            t, v = data_reader.load_chunk(meta)
+        except CorruptFileError as exc:
+            if not degraded:
+                raise
+            quarantine_chunk(engine, skipped, exc, meta)
+            continue
+        chunk_arrays.append((t, v, meta.version))
+    return chunk_arrays
+
+
 class M4UDFOperator:
     """The baseline: merge online, then scan (Figure 2(b)).
 
@@ -103,34 +154,14 @@ class M4UDFOperator:
         self._streaming = streaming
         self._degraded = degraded
 
-    def _degraded_enabled(self):
-        if self._degraded is not None:
-            return self._degraded
-        return getattr(self._engine.config, "degraded_reads", True)
-
     def query(self, series_name, t_qs, t_qe, w):
         """Run the M4 representation query; returns :class:`M4Result`."""
         validate_query(t_qs, t_qe, w)
         tracer = tracer_of(self._engine)
-        degraded = self._degraded_enabled()
         skipped = []
         with tracer.span("operator.m4udf", series=series_name, w=w):
-            with tracer.span("read.metadata"):
-                metadata_reader = self._engine.metadata_reader(series_name)
-                deletes = self._engine.deletes_for(series_name)
-                overlapping = metadata_reader.chunks_overlapping(t_qs, t_qe)
-            data_reader = self._engine.data_reader()
-            # IoTDB's reader skips chunks whose whole interval is deleted
-            # (the effect behind Figure 14's falling M4-UDF latency).
-            metas = [meta for meta in overlapping
-                     if not deletes.fully_deletes(meta.start_time,
-                                                  meta.end_time,
-                                                  meta.version)]
-            if degraded:
-                metas = self._drop_quarantined(metas, skipped)
-            with tracer.span("read.chunks", chunks=len(metas)):
-                chunk_arrays = self._load_chunks(data_reader, metas,
-                                                 degraded, skipped)
+            chunk_arrays, deletes = self._read(series_name, t_qs, t_qe,
+                                               skipped)
             with tracer.span("merge", streaming=self._streaming):
                 check_deadline()  # cancellation point: before the merge
                 t, v = self._merge(chunk_arrays, deletes)
@@ -143,60 +174,41 @@ class M4UDFOperator:
             _count_degraded(self._engine, self.name)
         return result
 
-    def _drop_quarantined(self, metas, skipped):
-        """Filter out already-quarantined chunks, recording their ranges."""
-        quarantine = getattr(self._engine, "quarantine", None)
-        if quarantine is None or not len(quarantine):
-            return metas
-        healthy = []
-        for meta in metas:
-            if quarantine.contains_meta(meta):
-                skipped.append((meta.start_time, meta.end_time + 1))
-            else:
-                healthy.append(meta)
-        return healthy
-
-    def _load_chunks(self, data_reader, metas, degraded, skipped):
-        """``(t, v, version)`` per chunk, with a cancellation point
-        before each load; in degraded mode a chunk that fails its
-        checksum is quarantined and skipped instead of aborting the
-        query."""
-        chunk_arrays = []
-        for meta in metas:
-            check_deadline()
-            try:
-                t, v = data_reader.load_chunk(meta)
-            except CorruptFileError as exc:
-                if not degraded:
-                    raise
-                self._engine.quarantine.add_meta(meta, reason=str(exc))
-                skipped.append((meta.start_time, meta.end_time + 1))
-                continue
-            chunk_arrays.append((t, v, meta.version))
-        return chunk_arrays
-
     def merged_series(self, series_name, t_qs, t_qe, skipped=None):
         """The fully merged series for a range (loads everything).
 
         ``skipped``: optional list; in degraded mode the time ranges of
         damaged chunks left out of the merge are appended to it.
         """
-        degraded = self._degraded_enabled()
-        collect = skipped if skipped is not None else []
-        metadata_reader = self._engine.metadata_reader(series_name)
-        deletes = self._engine.deletes_for(series_name)
-        data_reader = self._engine.data_reader()
-        metas = metadata_reader.chunks_overlapping(t_qs, t_qe)
-        if degraded:
-            metas = self._drop_quarantined(metas, collect)
-        chunk_arrays = self._load_chunks(data_reader, metas, degraded,
-                                         collect)
+        collect = []
+        chunk_arrays, deletes = self._read(series_name, t_qs, t_qe, collect)
         if skipped is not None:
             skipped[:] = merge_time_ranges(collect, t_qs, t_qe)
         t, v = self._merge(chunk_arrays, deletes)
         lo = int(np.searchsorted(t, t_qs, side="left"))
         hi = int(np.searchsorted(t, t_qe, side="left"))
         return TimeSeries(t[lo:hi], v[lo:hi], validate=False)
+
+    def _read(self, series_name, t_qs, t_qe, skipped):
+        """``(chunk_arrays, deletes)``: every chunk overlapping the range
+        that is not wholly deleted, loaded (damaged ones left out and
+        recorded in ``skipped`` in degraded mode)."""
+        tracer = tracer_of(self._engine)
+        degraded = degraded_mode(self._engine, self._degraded)
+        with tracer.span("read.metadata"):
+            metadata_reader = self._engine.metadata_reader(series_name)
+            deletes = self._engine.deletes_for(series_name)
+            overlapping = metadata_reader.chunks_overlapping(t_qs, t_qe)
+        # IoTDB's reader skips chunks whose whole interval is deleted
+        # (the effect behind Figure 14's falling M4-UDF latency).
+        metas = [meta for meta in overlapping
+                 if not deletes.fully_deletes(meta.start_time,
+                                              meta.end_time, meta.version)]
+        if degraded:
+            metas = drop_quarantined(self._engine, metas, skipped)
+        with tracer.span("read.chunks", chunks=len(metas)):
+            return load_chunks(self._engine, self._engine.data_reader(),
+                               metas, degraded, skipped), deletes
 
     def _merge(self, chunk_arrays, deletes):
         if not chunk_arrays:

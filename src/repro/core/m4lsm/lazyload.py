@@ -1,9 +1,11 @@
 """Chunk loading and metadata recomputation (Sections 3.3 and 3.4).
 
 Two kinds of chunk reach a span.  One that a span bound splits is
-loaded up front, once per query, by :func:`sweep_chunk` and handed to
-each span it reaches as a :class:`Fragment` with exact statistics; its
-views start out loaded.  One wholly inside the span starts from its
+loaded up front, once per query, by :func:`sweep_spans` (through
+:func:`sweep_chunk`) and handed to each span it reaches as a
+:class:`Fragment` with exact statistics; its views start out loaded.
+The same sweep feeds the GROUP BY aggregates of
+:mod:`repro.core.aggregation`.  One wholly inside the span starts from its
 stored metadata and is *not* reloaded eagerly when a candidate fails
 verification:
 
@@ -22,9 +24,53 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...errors import CorruptFileError
+from ...storage.deadline import check_deadline
 from ...storage.statistics import Statistics
 from ..series import Point
 from .candidates import BP, FP, LP, TP, Fragment
+
+
+def sweep_spans(chunks, bounds, real_deletes, data_reader, on_damage=None):
+    """Distribute the chunks over the spans, opening every chunk that is
+    not wholly inside one span exactly once.
+
+    Returns ``(per_span, n_swept, n_fragments)``; ``per_span[i]`` lists
+    span ``i``'s members in chunk order: the :class:`ChunkMetadata` of a
+    chunk wholly inside the span, or the :class:`Fragment` of a split
+    chunk's surviving points there.  A split chunk that fails its
+    checksum goes to ``on_damage(exc, meta)`` and contributes nothing;
+    without a callback (strict mode) the error propagates.
+    """
+    t_qs, t_qe = int(bounds[0]), int(bounds[-1])
+    w = len(bounds) - 1
+    duration = t_qe - t_qs
+    per_span = [[] for _ in range(w)]
+    n_swept = n_fragments = 0
+    for meta in chunks:
+        lo = max(meta.start_time, t_qs)
+        hi = min(meta.end_time, t_qe - 1)
+        first_span = int((lo - t_qs) * w // duration)
+        last_span = int((hi - t_qs) * w // duration)
+        if first_span == last_span and lo == meta.start_time \
+                and hi == meta.end_time:
+            per_span[first_span].append(meta)
+            continue
+        check_deadline()  # cancellation point: between chunk loads
+        try:
+            fragments = sweep_chunk(meta, real_deletes, data_reader,
+                                    bounds[first_span:last_span + 2])
+        except CorruptFileError as exc:
+            if on_damage is None:
+                raise
+            on_damage(exc, meta)
+            continue
+        n_swept += 1
+        for i, fragment in enumerate(fragments, first_span):
+            if fragment is not None:
+                per_span[i].append(fragment)
+                n_fragments += 1
+    return per_span, n_swept, n_fragments
 
 
 def sweep_chunk(meta, real_deletes, data_reader, bounds):

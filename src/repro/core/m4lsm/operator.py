@@ -29,13 +29,19 @@ invalidate them.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 from ...errors import CorruptFileError, StorageError
 from ...obs import tracer_of
 from ...storage.deadline import check_deadline
 from ...storage.deletes import DeleteList
 from ...storage.overlap import contested_versions
-from ..m4 import _count_degraded
+from ..m4 import (
+    _count_degraded,
+    degraded_mode,
+    drop_quarantined,
+    quarantine_chunk,
+)
 from ..result import M4Result, SpanAggregate, merge_time_ranges
 from ..spans import all_span_bounds, validate_query
 from .candidates import (
@@ -53,7 +59,7 @@ from .lazyload import (
     recalc_bottom_top,
     resolve_first,
     resolve_last,
-    sweep_chunk,
+    sweep_spans,
     tighten_first_bound,
     tighten_last_bound,
 )
@@ -210,24 +216,6 @@ class M4LSMOperator:
         self._fused_fast_path = fused_fast_path
         self._degraded = degraded
 
-    def _degraded_enabled(self):
-        if self._degraded is not None:
-            return self._degraded
-        return getattr(self._engine.config, "degraded_reads", True)
-
-    def _drop_quarantined(self, metas, skipped):
-        """Filter out already-quarantined chunks, recording their ranges."""
-        quarantine = getattr(self._engine, "quarantine", None)
-        if quarantine is None or not len(quarantine):
-            return metas
-        healthy = []
-        for meta in metas:
-            if quarantine.contains_meta(meta):
-                skipped.append((meta.start_time, meta.end_time + 1))
-            else:
-                healthy.append(meta)
-        return healthy
-
     def _quarantine_bad(self, exc, members, skipped):
         """Quarantine the chunk behind a checksum failure; returns the
         surviving span members for a re-solve.
@@ -249,55 +237,9 @@ class M4LSMOperator:
                    and m.data_offset == t_offset]
         if not bad:
             bad = whole
-        quarantine = getattr(self._engine, "quarantine", None)
         for meta in bad:
-            if quarantine is not None:
-                quarantine.add_meta(meta, reason=str(exc))
-            skipped.append((meta.start_time, meta.end_time + 1))
+            quarantine_chunk(self._engine, skipped, exc, meta)
         return [m for m in members if m not in bad]
-
-    def _sweep(self, chunks, bounds, real_deletes, data_reader, degraded,
-               skipped):
-        """Distribute the chunks over the spans, opening every chunk
-        that is not wholly inside one span exactly once.
-
-        Returns ``(per_span, n_swept, n_fragments)``; ``per_span[i]``
-        lists span ``i``'s members in version order: the
-        :class:`ChunkMetadata` of a chunk wholly inside the span, or the
-        :class:`Fragment` of a split chunk's surviving points there.  A
-        damaged split chunk is quarantined here (degraded mode) and
-        contributes nothing.
-        """
-        t_qs, t_qe = int(bounds[0]), int(bounds[-1])
-        w = len(bounds) - 1
-        duration = t_qe - t_qs
-        per_span = [[] for _ in range(w)]
-        n_swept = n_fragments = 0
-        for meta in chunks:
-            lo = max(meta.start_time, t_qs)
-            hi = min(meta.end_time, t_qe - 1)
-            first_span = int((lo - t_qs) * w // duration)
-            last_span = int((hi - t_qs) * w // duration)
-            if first_span == last_span and lo == meta.start_time \
-                    and hi == meta.end_time:
-                per_span[first_span].append(meta)
-                continue
-            check_deadline()  # cancellation point: between chunk loads
-            try:
-                fragments = sweep_chunk(
-                    meta, real_deletes, data_reader,
-                    bounds[first_span:last_span + 2])
-            except CorruptFileError as exc:
-                if not degraded:
-                    raise
-                self._quarantine_bad(exc, [meta], skipped)
-                continue
-            n_swept += 1
-            for i, fragment in enumerate(fragments, first_span):
-                if fragment is not None:
-                    per_span[i].append(fragment)
-                    n_fragments += 1
-        return per_span, n_swept, n_fragments
 
     def query(self, series_name, t_qs, t_qe, w):
         """Run the M4 representation query; returns :class:`M4Result`.
@@ -319,7 +261,7 @@ class M4LSMOperator:
     def _execute(self, series_name, t_qs, t_qe, w, collect_trace):
         validate_query(t_qs, t_qe, w)
         tracer = tracer_of(self._engine)
-        degraded = self._degraded_enabled()
+        degraded = degraded_mode(self._engine, self._degraded)
         skipped = []   # (start, end) per damaged chunk left out
         with tracer.span("operator.m4lsm", series=series_name, w=w):
             with tracer.span("read.metadata"):
@@ -327,16 +269,17 @@ class M4LSMOperator:
                 chunks = metadata_reader.chunks_overlapping(t_qs, t_qe)
                 real_deletes = self._engine.deletes_for(series_name)
             if degraded:
-                chunks = self._drop_quarantined(chunks, skipped)
+                chunks = drop_quarantined(self._engine, chunks, skipped)
             data_reader = self._engine.data_reader()
             stats = self._engine.stats
 
             bounds = all_span_bounds(t_qs, t_qe, w)
             before = stats.snapshot() if collect_trace else None
             with tracer.span("sweep") as sweep_span:
-                per_span, n_swept, n_fragments = self._sweep(
-                    chunks, bounds, real_deletes, data_reader, degraded,
-                    skipped)
+                per_span, n_swept, n_fragments = sweep_spans(
+                    chunks, bounds, real_deletes, data_reader,
+                    partial(quarantine_chunk, self._engine, skipped)
+                    if degraded else None)
                 sweep_span.attrs["chunks"] = n_swept
                 sweep_span.attrs["fragments"] = n_fragments
             swept = stats.diff(before) if collect_trace else None

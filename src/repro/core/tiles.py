@@ -74,6 +74,7 @@ import threading
 
 from ..obs.tracer import ambient_span, tracer_of
 from ..storage.deadline import check_deadline
+from .m4 import degraded_mode
 from .m4lsm import M4LSMOperator
 from .result import M4Result, merge_time_ranges
 from .spans import validate_query
@@ -453,10 +454,8 @@ class TiledM4Operator:
         self._cache = cache if cache is not None \
             else getattr(engine, "tile_cache", None)
         self._inner = M4LSMOperator(engine, degraded=degraded)
-        effective = degraded if degraded is not None \
-            else getattr(engine.config, "degraded_reads", True)
-        self._bypass = effective != getattr(engine.config,
-                                            "degraded_reads", True)
+        self._bypass = degraded_mode(engine, degraded) \
+            != degraded_mode(engine, None)
 
     def query(self, series_name, t_qs, t_qe, w):
         """The M4 representation query; returns :class:`M4Result`.

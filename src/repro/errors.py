@@ -47,6 +47,11 @@ class ReadOnlyError(StorageError):
     """Raised on an attempt to mutate sealed, read-only storage."""
 
 
+class InvalidValueError(StorageError):
+    """Raised when a write carries a NaN value, which has no order for
+    min/max statistics; nothing of the write is logged or stored."""
+
+
 class DeadlineExceededError(ReproError):
     """Raised when a request's cooperative deadline expires mid-query.
 

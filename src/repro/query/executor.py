@@ -202,8 +202,7 @@ class Executor:
                 row.append(point.t if field == "t" else point.v)
             rows.append(tuple(row))
         return ResultTable(tuple(columns), tuple(rows),
-                           _degraded_meta(result.skipped
-                                          if result.degraded else None))
+                           _degraded_meta(result.skipped))
 
     def _execute_agg(self, parsed):
         from ..core.aggregation import aggregate_lsm, aggregate_udf
@@ -211,12 +210,13 @@ class Executor:
         runner = aggregate_udf if parsed.operator == "m4udf" \
             else aggregate_lsm
         result = runner(self._engine, parsed.series, t_qs, t_qe,
-                        parsed.w, parsed.columns)
+                        parsed.w, parsed.columns, degraded=self._degraded)
         columns = ["span"] + [name.upper() for name in parsed.columns]
         rows = []
         for i in result.non_empty():
             rows.append((i,) + result.rows[i])
-        return ResultTable(tuple(columns), tuple(rows))
+        return ResultTable(tuple(columns), tuple(rows),
+                           _degraded_meta(result.skipped))
 
     def _execute_raw(self, parsed):
         t_qs, t_qe = self._resolve_range(parsed)
@@ -234,5 +234,4 @@ class Executor:
                            else float(col[i])
                            for j, col in enumerate(stacked))
                      for i in range(t.size))
-        return ResultTable(columns, rows,
-                           _degraded_meta(skipped if skipped else None))
+        return ResultTable(columns, rows, _degraded_meta(skipped))

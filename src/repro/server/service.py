@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import threading
 import time
 
@@ -714,6 +715,8 @@ class QueryService:
                 return self._error(400, None, "timestamps/values must "
                                               "be equal-length and "
                                               "non-empty")
+        if any(math.isnan(x) for x in v):
+            return self._error(400, None, "values must not be NaN")
         return series, t, v, tenant
 
     def live(self, params):

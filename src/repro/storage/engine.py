@@ -32,7 +32,9 @@ import logging
 import os
 import threading
 
-from ..errors import SeriesNotFoundError, StorageError
+import numpy as np
+
+from ..errors import InvalidValueError, SeriesNotFoundError, StorageError
 from ..obs import MetricsRegistry, SlowQueryLog, TraceStore, Tracer
 from . import faultfs
 from .cache import ChunkCache
@@ -53,6 +55,14 @@ from .versions import VersionAllocator
 from .wal import WalManager
 
 log = logging.getLogger("repro.storage.engine")
+
+
+def _reject_nan(name, values):
+    """Refuse NaN before anything is logged: min/max statistics and the
+    operators' value comparisons are undefined on it."""
+    if np.isnan(np.asarray(values, dtype=np.float64)).any():
+        raise InvalidValueError("series %r: NaN values cannot be stored"
+                                % name)
 
 
 class SeriesState:
@@ -382,8 +392,10 @@ class StorageEngine:
 
         Raises:
             SeriesNotFoundError: ``name`` was never registered.
+            InvalidValueError: ``v`` is NaN (nothing is written).
         """
         state = self._state(name)
+        _reject_nan(name, v)
         with state.lock.write():
             if self._wal is not None:
                 self._wal.segment(state.series_id).append(state.series_id,
@@ -408,12 +420,14 @@ class StorageEngine:
 
         Raises:
             SeriesNotFoundError: ``name`` was never registered.
+            InvalidValueError: a value is NaN (nothing is written).
 
         Overlapping tiles of the M4 tile cache are invalidated here,
         under the series write lock, so cached viewports and fresh
         writes stay linearizable per series.
         """
         state = self._state(name)
+        _reject_nan(name, values)
         with self._tracer.span("write.batch", series=name):
             with state.lock.write():
                 if self._wal is not None:

@@ -101,7 +101,8 @@ class Statistics:
         """Statistics of the union of two disjoint point sets.
 
         Used by the TsFile writer to roll page statistics up into chunk
-        statistics.  Bottom/top tie-break on earliest time for determinism.
+        statistics, and by the GROUP BY fold of span members.  Bottom/top
+        tie-break on earliest time for determinism.
         """
         first = self.first if self.first.t <= other.first.t else other.first
         last = self.last if self.last.t >= other.last.t else other.last

@@ -77,9 +77,15 @@ class TestLsmEqualsUdf:
         engine.write_batch("x", t[:n // 5], v[:n // 5] + 1)
         engine.flush_all()
         t_qs, t_qe = int(t[0]), int(t[-1]) + 1
+        overlapping = engine.metadata_reader("x").chunks_overlapping(
+            t_qs, t_qe)
         for w in (1, 9, 53):
             a = aggregate_udf(engine, "x", t_qs, t_qe, w, AGGREGATE_NAMES)
+            before = engine.stats.snapshot()
             b = aggregate_lsm(engine, "x", t_qs, t_qe, w, AGGREGATE_NAMES)
+            # Each chunk is opened at most once per query.
+            assert engine.stats.diff(before).chunk_loads \
+                <= len(overlapping), (seed, w)
             for function in AGGREGATE_NAMES:
                 got = b.column(function)
                 want = a.column(function)
@@ -95,6 +101,14 @@ class TestLsmEqualsUdf:
         aggregate_lsm(engine, "s", int(t[0]), int(t[-1]) + 1, 2,
                       ("count", "avg"))
         assert engine.stats.diff(before).chunk_loads == 0
+
+    def test_split_chunks_are_opened_once(self, loaded_engine):
+        engine, t, _v = loaded_engine
+        t_qs, t_qe = int(t[0]), int(t[-1]) + 1
+        for w in (7, 30, 200):   # 10 chunks, split ever more finely
+            before = engine.stats.snapshot()
+            aggregate_lsm(engine, "s", t_qs, t_qe, w, ("count",))
+            assert engine.stats.diff(before).chunk_loads <= 10, w
 
     def test_udf_always_reads(self, loaded_engine):
         engine, t, _v = loaded_engine

@@ -316,7 +316,7 @@ class TestDamageDuringSweep:
         engine, _victim, _healthy = damaged_split_chunk
         with pytest.raises(CorruptFileError) as info:
             M4LSMOperator(engine, degraded=False).query("s", 0, N, W)
-        assert any(entry.name == "_sweep" for entry in info.traceback)
+        assert any(entry.name == "sweep_spans" for entry in info.traceback)
 
 
 class TestDeadlineDuringSweep:
@@ -328,5 +328,5 @@ class TestDeadlineDuringSweep:
         with deadline_scope(Deadline(-1.0)):
             with pytest.raises(DeadlineExceededError) as info:
                 operator.query("s", int(t[3]), int(t[-3]), 50)
-        assert any(entry.name == "_sweep" for entry in info.traceback)
+        assert any(entry.name == "sweep_spans" for entry in info.traceback)
         assert engine.stats.diff(before).chunk_loads == 0

@@ -51,7 +51,11 @@ def test_lsm_aggregation_equals_udf(tmp_path_factory, workload):
                            np.array([99.0]))
         engine.flush_all()
         a = aggregate_udf(engine, "s", 0, domain, w, AGGREGATE_NAMES)
+        before = engine.stats.snapshot()
         b = aggregate_lsm(engine, "s", 0, domain, w, AGGREGATE_NAMES)
+        # Each chunk is opened at most once per query.
+        assert engine.stats.diff(before).chunk_loads <= len(
+            engine.metadata_reader("s").chunks_overlapping(0, domain))
         for function in AGGREGATE_NAMES:
             for got, want in zip(b.column(function), a.column(function)):
                 if want is None:

@@ -1,9 +1,14 @@
 """Degraded reads over HTTP: a damaged chunk yields a flagged 200 with
 the skipped ranges, strict mode (server-wide or per-request) yields a
-500, and health/stats surface the quarantine."""
+500, and health/stats surface the quarantine.  M4 and the GROUP BY
+aggregates follow the same contract."""
+
+import pytest
 
 SQL = ("SELECT M4(v) FROM ball WHERE time >= 0 AND time < 42000 "
        "GROUP BY SPANS(50)")
+AGG_SQL = ("SELECT COUNT(v), MAX_VALUE(v) FROM ball WHERE time >= 0 "
+           "AND time < 42000 GROUP BY SPANS(50)")
 
 
 def corrupt_one_chunk(engine, series="ball"):
@@ -88,3 +93,29 @@ class TestStrictMode:
         response = served.client.query_response(SQL)
         assert response.status == 200
         assert response.json()["degraded"] is False
+
+
+@pytest.mark.parametrize("using", ["M4LSM", "M4UDF"])
+class TestDegradedAggregates:
+    def test_flagged_200_with_skipped_ranges(self, served, using):
+        victim = corrupt_one_chunk(served.engine)
+        sql = AGG_SQL + " USING " + using
+        # The second query finds the chunk already quarantined.
+        for _ in range(2):
+            response = served.client.query_response(sql)
+            assert response.status == 200
+            body = response.json()
+            assert body["degraded"] is True
+            assert body["skipped_ranges"] == [[victim.start_time,
+                                               victim.end_time + 1]]
+            assert response.headers.get("X-Repro-Degraded") == "1"
+            assert sum(row[1] for row in body["rows"]) \
+                == 6000 - victim.n_points
+        assert served.client.healthz()["quarantined_chunks"] == 1
+
+    def test_strict_is_500(self, served, using):
+        corrupt_one_chunk(served.engine)
+        response = served.client.query_response(
+            AGG_SQL + " USING " + using, strict=True)
+        assert response.status == 500
+        assert "error" in response.json()

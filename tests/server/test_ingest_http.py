@@ -45,11 +45,22 @@ class TestIngestEndpoint:
         {"series": "s", "timestamps": [1], "values": [1.0, 2.0]},
         {"series": "s", "points": "nope"},
         {"series": "s", "points": [[1]]},
+        {"series": "s", "timestamps": [1, 2], "values": [1.0, float("nan")]},
+        {"series": "s", "points": [[1, float("nan")]]},
+        {"series": "s", "timestamps": [1], "values": ["nan"]},
     ])
     def test_bad_payloads_are_400(self, served, payload):
         response = _post_json(served.client, "/ingest", payload)
         assert response.status == 400
         assert "error" in response.json()
+
+    def test_nan_batch_is_refused_before_anything_is_written(self, served):
+        response = _post_json(served.client, "/ingest", {
+            "series": "feed", "timestamps": [0, 1],
+            "values": [1.0, float("nan")]})
+        assert response.status == 400
+        assert "NaN" in response.json()["error"]
+        assert "feed" not in served.engine.series_names()
 
     def test_backpressure_is_429_with_retry_after(self, make_served):
         served = make_served(

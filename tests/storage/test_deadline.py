@@ -108,3 +108,16 @@ class TestQueryCancellation:
             with deadline_scope(Deadline(-1.0)):
                 with pytest.raises(DeadlineExceededError):
                     M4UDFOperator(engine).query("s", 0, 8000, 20)
+
+    @pytest.mark.parametrize("runner", ["aggregate_lsm", "aggregate_udf"])
+    def test_aggregates_abort_before_loading_a_chunk(self, tmp_path,
+                                                     runner):
+        from repro.core import aggregation
+        aggregate = getattr(aggregation, runner)
+        with self._loaded(tmp_path) as engine:
+            assert aggregate(engine, "s", 0, 8000, 20, ("count",)).rows
+            before = engine.stats.snapshot()
+            with deadline_scope(Deadline(-1.0)):
+                with pytest.raises(DeadlineExceededError):
+                    aggregate(engine, "s", 0, 8000, 20, ("count", "avg"))
+            assert engine.stats.diff(before).chunk_loads == 0

@@ -5,7 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import SeriesNotFoundError, StorageError
+from repro.errors import (
+    InvalidValueError,
+    ReproError,
+    SeriesNotFoundError,
+    StorageError,
+)
 from repro.storage import StorageConfig, StorageEngine, merge_arrays
 
 
@@ -72,6 +77,31 @@ class TestWritesAndFlush:
         versions = ([c.version for c in engine.chunks_for("a")]
                     + [c.version for c in engine.chunks_for("b")])
         assert len(set(versions)) == len(versions)
+
+
+class TestNanRejected:
+    def test_batch_with_nan_is_refused_before_the_wal(self, tmp_path,
+                                                      small_config):
+        db = tmp_path / "db"
+        with StorageEngine(db, small_config) as engine:
+            engine.create_series("s")
+            engine.write_batch("s", [1, 2], [1.0, 2.0])
+            with pytest.raises(InvalidValueError) as info:
+                engine.write_batch("s", [3, 4], [3.0, float("nan")])
+            assert isinstance(info.value, ReproError)
+            with pytest.raises(InvalidValueError):
+                engine.write("s", 5, float("nan"))
+        # Nothing of the refused writes reached the WAL: the reopened
+        # store replays only the two good points.
+        with StorageEngine(db, small_config) as engine:
+            engine.flush_all()
+            assert engine.total_points("s") == 2
+
+    def test_infinities_are_still_values(self, engine):
+        engine.create_series("s")
+        engine.write_batch("s", [1, 2], [float("inf"), -float("inf")])
+        engine.flush_all()
+        assert engine.total_points("s") == 2
 
 
 class TestDeletes:
