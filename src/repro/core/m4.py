@@ -1,8 +1,11 @@
 """M4 representation, RDBMS-style (Jugel et al., VLDB 2014), plus the
 M4-UDF baseline operator over LSM storage.
 
-:func:`m4_aggregate_arrays` is the core single-scan grouping of
-Definition 2.3, vectorized over time-ordered arrays.  The
+:func:`segment_m4` is the one segmented M4 kernel: FP/LP/BP/TP of every
+segment of time-ordered arrays in a single vectorized pass.
+:func:`m4_aggregate_arrays` (the single-scan grouping of Definition
+2.3), M4-LSM's sweep, the GROUP BY baseline and the MinMax reducer all
+run on it.  The
 :class:`M4UDFOperator` reproduces the paper's baseline exactly: load every
 chunk overlapping the query range, merge them into one ordered series
 (applying deletes and overwrites), then run the plain M4 scan.
@@ -10,25 +13,58 @@ chunk overlapping the query range, merge them into one ordered series
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from ..errors import CorruptFileError, InvalidQueryRangeError
 from ..obs import tracer_of
 from ..storage.deadline import check_deadline
-from .result import M4Result, SpanAggregate, merge_time_ranges
-from .series import Point, TimeSeries
-from .spans import span_indices, validate_query
+from .result import M4Result, merge_time_ranges
+from .series import TimeSeries
+from .spans import span_starts, validate_query
+
+
+def first_extreme(v, starts, reduce):
+    """Row of the first extreme in each segment of ``v``.
+
+    Segment ``k`` is ``v[starts[k]:starts[k + 1]]`` (the last runs to
+    the end); ``starts`` is strictly increasing and begins at 0.
+    ``reduce`` is ``np.minimum`` or ``np.maximum``.  Equal to a per-
+    segment ``argmin``/``argmax``: the first row attaining the extreme
+    wins a value tie, and a NaN, which the reduction propagates, is the
+    extreme from the segment's first NaN on.
+    """
+    extreme = reduce.reduceat(v, starts)
+    lengths = np.diff(starts, append=v.size)
+    hit = v == np.repeat(extreme, lengths)
+    nan = np.isnan(extreme)
+    if nan.any():
+        hit |= np.isnan(v) & np.repeat(nan, lengths)
+    rows = np.flatnonzero(hit)
+    return rows[np.searchsorted(rows, starts)]
+
+
+def segment_m4(t, v, starts):
+    """M4 of every segment of time-ordered ``(t, v)`` in one pass.
+
+    Segments are as for :func:`first_extreme`.  Returns ``(times,
+    values)``, each of shape ``(4, len(starts))`` with rows FP, LP, BP,
+    TP (the layout of :class:`M4Result` columns).  FP/LP are the
+    segment's first and last rows; BP/TP break value ties on the
+    earliest time, exactly like ``argmin``/``argmax``.
+    """
+    rows = np.stack((starts, np.append(starts[1:], t.size) - 1,
+                     first_extreme(v, starts, np.minimum),
+                     first_extreme(v, starts, np.maximum)))
+    return t[rows], v[rows]
 
 
 def m4_aggregate_arrays(timestamps, values, t_qs, t_qe, w):
     """M4 over time-ordered arrays; the relational reference algorithm.
 
-    Points outside ``[t_qs, t_qe)`` are ignored.  Runs one vectorized
-    pass to find span boundaries plus an O(w) loop over the occupied
-    spans.  Bottom/top tie-break on earliest time (``argmin``/``argmax``
-    return the first extreme).
+    Points outside ``[t_qs, t_qe)`` are ignored.  Points are
+    time-ordered, so each occupied span is one contiguous segment and
+    :func:`segment_m4` answers all of them at once.  Bottom/top
+    tie-break on earliest time.
     """
     validate_query(t_qs, t_qe, w)
     t = np.asarray(timestamps, dtype=np.int64)
@@ -38,24 +74,14 @@ def m4_aggregate_arrays(timestamps, values, t_qs, t_qe, w):
     t = t[lo:hi]
     v = v[lo:hi]
 
-    spans = [SpanAggregate()] * w
+    occupied = np.zeros(w, dtype=bool)
+    times = np.zeros((4, w), dtype=np.int64)
+    values = np.zeros((4, w), dtype=np.float64)
     if t.size:
-        indices = span_indices(t, t_qs, t_qe, w)
-        # Points are time-ordered, so each span is one contiguous slice.
-        occupied, starts = np.unique(indices, return_index=True)
-        ends = np.append(starts[1:], t.size)
-        for span, start, end in zip(occupied, starts, ends):
-            seg_t = t[start:end]
-            seg_v = v[start:end]
-            bottom = start + int(np.argmin(seg_v))
-            top = start + int(np.argmax(seg_v))
-            spans[int(span)] = SpanAggregate(
-                first=Point(int(seg_t[0]), float(seg_v[0])),
-                last=Point(int(seg_t[-1]), float(seg_v[-1])),
-                bottom=Point(int(t[bottom]), float(v[bottom])),
-                top=Point(int(t[top]), float(v[top])),
-            )
-    return M4Result(int(t_qs), int(t_qe), int(w), tuple(spans))
+        spans, starts = span_starts(t, t_qs, t_qe, w)
+        occupied[spans] = True
+        times[:, spans], values[:, spans] = segment_m4(t, v, starts)
+    return M4Result.from_columns(t_qs, t_qe, w, occupied, times, values)
 
 
 def m4_aggregate_series(series, t_qs=None, t_qe=None, w=1000):
@@ -169,8 +195,8 @@ class M4UDFOperator:
                 check_deadline()
                 result = m4_aggregate_arrays(t, v, t_qs, t_qe, w)
         if skipped:
-            result = dataclasses.replace(
-                result, skipped=merge_time_ranges(skipped, t_qs, t_qe))
+            result = result.with_skipped(
+                merge_time_ranges(skipped, t_qs, t_qe))
             _count_degraded(self._engine, self.name)
         return result
 

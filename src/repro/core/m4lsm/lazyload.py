@@ -1,13 +1,15 @@
 """Chunk loading and metadata recomputation (Sections 3.3 and 3.4).
 
 Two kinds of chunk reach a span.  One that a span bound splits is
-loaded up front, once per query, by :func:`sweep_spans` (through
-:func:`sweep_chunk`) and handed to each span it reaches as a
-:class:`Fragment` with exact statistics; its views start out loaded.
+loaded up front, once per query, by :func:`sweep_spans`, stripped of
+the timestamps newer loaded chunks rewrite, and handed to each span it
+reaches as a fragment with exact statistics; the sweep returns every
+member as a row of :class:`SpanMembers`, and :func:`fold_members`
+answers all spans whose members cannot interact in one array pass.
 The same sweep feeds the GROUP BY aggregates of
-:mod:`repro.core.aggregation`.  One wholly inside the span starts from its
-stored metadata and is *not* reloaded eagerly when a candidate fails
-verification:
+:mod:`repro.core.aggregation`.  A chunk wholly inside the span starts
+from its stored metadata; in a span the solver takes, its view is *not*
+reloaded eagerly when a candidate fails verification:
 
 * FP/LP — the killing delete's boundary tightens the view's time bound;
   an actual recomputation, when finally needed, walks the chunk index
@@ -26,88 +28,227 @@ import numpy as np
 
 from ...errors import CorruptFileError
 from ...storage.deadline import check_deadline
+from ...storage.overlap import contested_versions
 from ...storage.statistics import Statistics
+from ..m4 import segment_m4
+from ..result import point_columns
 from ..series import Point
 from .candidates import BP, FP, LP, TP, Fragment
+
+
+class SpanMembers:
+    """What the sweep hands the spans: one row per member, as columns.
+
+    Rows ``[0, n_fragments)`` are the fragments of the split chunks, rows
+    after them the chunks wholly inside one span.  Per row: ``span``,
+    ``version``, ``count`` and the FP/LP/BP/TP columns ``times`` /
+    ``values`` (shape ``(4, rows)``, the :class:`M4Result` layout) — a
+    fragment's computed exactly from its points, a whole chunk's taken
+    from its stored statistics.  Fragment ``k``'s points are rows
+    ``starts[k]:starts[k + 1]`` of the concatenated ``data_t`` /
+    ``data_v``.
+    """
+
+    def __init__(self, n_swept, frag_metas, frag_spans, data_t, data_v,
+                 starts, whole, whole_spans):
+        self.n_swept = n_swept
+        self.n_fragments = len(frag_metas)
+        self.metas = frag_metas + whole
+        self.data_t = data_t
+        self.data_v = data_v
+        self.starts = starts
+        self.span = np.array(frag_spans + whole_spans, dtype=np.int64)
+        self.version = np.array([m.version for m in self.metas],
+                                dtype=np.int64)
+        stats = [m.statistics for m in whole]
+        times, values = point_columns(stats)
+        counts = np.array([s.count for s in stats], dtype=np.int64)
+        if self.n_fragments:
+            frag_times, frag_values = segment_m4(data_t, data_v, starts)
+            times = np.concatenate((frag_times, times), axis=1)
+            values = np.concatenate((frag_values, values), axis=1)
+            counts = np.concatenate(
+                (np.diff(starts, append=data_t.size), counts))
+        self.times = times
+        self.values = values
+        self.count = counts
+
+    def value_sums(self):
+        """Per-row sum of values (fragments summed, whole chunks stored)."""
+        sums = [m.statistics.value_sum
+                for m in self.metas[self.n_fragments:]]
+        if not self.n_fragments:
+            return np.array(sums, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            frag_sums = np.add.reduceat(self.data_v, self.starts)
+        return np.concatenate((frag_sums, sums))
+
+    def is_fragment(self, row):
+        return row < self.n_fragments
+
+    def member(self, row):
+        """Row ``row`` as the solver takes it: a whole chunk's
+        :class:`ChunkMetadata`, or a :class:`Fragment`."""
+        meta = self.metas[row]
+        if not self.is_fragment(row):
+            return meta
+        lo = int(self.starts[row])
+        hi = lo + int(self.count[row])
+        (ft, lt, bt, tt), (fv, lv, bv, tv) = (self.times[:, row].tolist(),
+                                              self.values[:, row].tolist())
+        with np.errstate(invalid="ignore", over="ignore"):
+            value_sum = float(self.data_v[lo:hi].sum())
+        statistics = Statistics(hi - lo, Point(ft, fv), Point(lt, lv),
+                                Point(bt, bv), Point(tt, tv), value_sum)
+        return Fragment(meta, statistics, self.data_t[lo:hi],
+                        self.data_v[lo:hi])
+
+    def rows_of(self, span):
+        """Row numbers of span ``span``'s members, in version order."""
+        rows = np.flatnonzero(self.span == span)
+        return rows[np.argsort(self.version[rows], kind="stable")].tolist()
 
 
 def sweep_spans(chunks, bounds, real_deletes, data_reader, on_damage=None):
     """Distribute the chunks over the spans, opening every chunk that is
     not wholly inside one span exactly once.
 
-    Returns ``(per_span, n_swept, n_fragments)``; ``per_span[i]`` lists
-    span ``i``'s members in chunk order: the :class:`ChunkMetadata` of a
-    chunk wholly inside the span, or the :class:`Fragment` of a split
-    chunk's surviving points there.  A split chunk that fails its
-    checksum goes to ``on_damage(exc, meta)`` and contributes nothing;
-    without a callback (strict mode) the error propagates.
+    A split chunk is loaded delete-filtered; where loaded chunks
+    overlap, each loses the timestamps a newer one rewrites, so no two
+    fragments can overwrite each other.  Each is then cut at every span
+    bound it reaches, and all fragments get their statistics from one
+    :func:`~repro.core.m4.segment_m4` pass.  Returns a
+    :class:`SpanMembers`.  A split chunk that fails its checksum goes to
+    ``on_damage(exc, meta)`` and contributes nothing; without a callback
+    (strict mode) the error propagates.
     """
     t_qs, t_qe = int(bounds[0]), int(bounds[-1])
     w = len(bounds) - 1
     duration = t_qe - t_qs
-    per_span = [[] for _ in range(w)]
-    n_swept = n_fragments = 0
+    whole, whole_spans, loaded = [], [], []
     for meta in chunks:
         lo = max(meta.start_time, t_qs)
         hi = min(meta.end_time, t_qe - 1)
-        first_span = int((lo - t_qs) * w // duration)
-        last_span = int((hi - t_qs) * w // duration)
+        first_span = (lo - t_qs) * w // duration
+        last_span = (hi - t_qs) * w // duration
         if first_span == last_span and lo == meta.start_time \
                 and hi == meta.end_time:
-            per_span[first_span].append(meta)
+            whole.append(meta)
+            whole_spans.append(first_span)
             continue
         check_deadline()  # cancellation point: between chunk loads
         try:
-            fragments = sweep_chunk(meta, real_deletes, data_reader,
-                                    bounds[first_span:last_span + 2])
+            t, v = data_reader.load_chunk(meta, deletes=real_deletes)
         except CorruptFileError as exc:
             if on_damage is None:
                 raise
             on_damage(exc, meta)
             continue
-        n_swept += 1
-        for i, fragment in enumerate(fragments, first_span):
-            if fragment is not None:
-                per_span[i].append(fragment)
-                n_fragments += 1
-    return per_span, n_swept, n_fragments
+        loaded.append([meta, first_span, last_span, t, v])
+    _drop_overwritten(loaded)
+
+    frag_metas, frag_spans, parts_t, parts_v, parts_starts = [], [], [], [], []
+    offset = 0
+    for meta, first_span, last_span, t, v in loaded:
+        cuts = np.searchsorted(t, bounds[first_span:last_span + 2])
+        occupied = np.flatnonzero(cuts[1:] > cuts[:-1])
+        if not occupied.size:
+            continue
+        lo, hi = int(cuts[0]), int(cuts[-1])
+        parts_t.append(t[lo:hi])
+        parts_v.append(v[lo:hi])
+        parts_starts.append(cuts[occupied] - lo + offset)
+        offset += hi - lo
+        frag_metas += [meta] * occupied.size
+        frag_spans += (occupied + first_span).tolist()
+    if parts_t:
+        data_t, data_v = np.concatenate(parts_t), np.concatenate(parts_v)
+        starts = np.concatenate(parts_starts)
+    else:
+        data_t = data_v = starts = None
+    return SpanMembers(len(loaded), frag_metas, frag_spans, data_t, data_v,
+                       starts, whole, whole_spans)
 
 
-def sweep_chunk(meta, real_deletes, data_reader, bounds):
-    """Load a split chunk once and cut it at the span bounds it reaches.
+def _drop_overwritten(loaded):
+    """Remove from each loaded chunk the timestamps that a newer loaded
+    chunk also holds (last write wins), in place.
 
-    ``bounds`` are consecutive span boundaries; entry ``j`` of the
-    returned list is the :class:`Fragment` of the chunk's delete-filtered
-    points in ``[bounds[j], bounds[j + 1])``, or ``None`` when none
-    survive there.  Bottom/top come from the same ``argmin``/``argmax``
-    as stored chunk statistics: value ties go to the earliest time.
+    Only chunks whose intervals chain-overlap can share a timestamp, so
+    each such group is resolved on its own with one stable sort of its
+    timestamps, concatenated newest chunk first: among equal timestamps
+    the newest then comes first and every later one is rewritten.  Both
+    sides are already delete-filtered: a delete newer than the newer
+    chunk removed the older point too, and one in between removed only
+    the older point.
     """
-    t, v = data_reader.load_chunk(meta, deletes=real_deletes)
-    cuts = np.searchsorted(t, bounds, side="left").tolist()
-    fragments = [None] * (len(cuts) - 1)
-    occupied = [j for j in range(len(cuts) - 1) if cuts[j] < cuts[j + 1]]
-    if not occupied:
-        return fragments
-    los = [cuts[j] for j in occupied]
-    his = [cuts[j + 1] for j in occupied]
-    bottoms = [lo + int(v[lo:hi].argmin()) for lo, hi in zip(los, his)]
-    tops = [lo + int(v[lo:hi].argmax()) for lo, hi in zip(los, his)]
-    # Everything but the arg-extremes is taken for all fragments at
-    # once (the non-empty ones tile rows [cuts[0], cuts[-1]) in order),
-    # and only the 4 statistic rows per fragment become Python objects.
-    rows = los + [hi - 1 for hi in his] + bottoms + tops
-    points = list(map(Point, t[rows].tolist(), v[rows].tolist()))
-    with np.errstate(invalid="ignore", over="ignore"):
-        sums = np.add.reduceat(v[:his[-1]], los).tolist()
-    k = len(occupied)
-    for n, j in enumerate(occupied):
-        lo, hi = los[n], his[n]
-        fragments[j] = Fragment(
-            meta,
-            Statistics(hi - lo, points[n], points[k + n],
-                       points[2 * k + n], points[3 * k + n], sums[n]),
-            t[lo:hi], v[lo:hi])
-    return fragments
+    by_start = sorted(loaded, key=lambda item: item[0].start_time)
+    groups = []
+    end = None
+    for item in by_start:
+        meta = item[0]
+        if end is not None and meta.start_time <= end:
+            groups[-1].append(item)
+            end = max(end, meta.end_time)
+        else:
+            groups.append([item])
+            end = meta.end_time
+    for group in groups:
+        if len(group) < 2:
+            continue
+        group.sort(key=lambda item: -item[0].version)
+        t = np.concatenate([item[3] for item in group])
+        order = np.argsort(t, kind="stable")
+        ordered = t[order]
+        rewritten = np.zeros(t.size, dtype=bool)
+        rewritten[order[1:]] = ordered[1:] == ordered[:-1]
+        cuts = np.cumsum([item[3].size for item in group])[:-1]
+        for item, gone in zip(group, np.split(rewritten, cuts)):
+            if gone.any():
+                item[3], item[4] = item[3][~gone], item[4][~gone]
+
+
+def contested_rows(members, chunks, real_deletes):
+    """Rows of whole chunks whose statistics another chunk or a newer
+    delete may contradict; their spans need the data, not the fold.
+
+    Fragments are never contested: they are delete-filtered and the
+    sweep removed the points newer fragments rewrite.  A whole chunk
+    that overlaps a split one lies in a single span, and marks it.
+    """
+    whole = np.arange(members.n_fragments, len(members.metas))
+    if not whole.size:
+        return whole
+    contested = contested_versions(chunks, real_deletes)
+    return whole[np.isin(members.version[whole], list(contested))]
+
+
+def fold_members(span, times, values):
+    """Per-span FP/LP/BP/TP of member rows that cannot interact.
+
+    Valid when no member's points can be overwritten or deleted by
+    another's: then a span's FP is its members' earliest FP, LP the
+    latest LP, and BP/TP the extreme BP/TP, a value tie going to the
+    earliest time as in ``argmin``.  Returns ``(spans, times, values)``
+    for the distinct spans in ascending order, columns as in
+    :class:`M4Result`.
+    """
+    first = _heads(span, times[0])
+    last = _heads(span, -times[1])
+    bottom = _heads(span, values[2], times[2])
+    top = _heads(span, -values[3], times[3])
+    rows = np.stack((first, last, bottom, top))
+    picks = np.arange(4)[:, None]
+    return span[first], times[picks, rows], values[picks, rows]
+
+
+def _heads(span, *keys):
+    """Per distinct span (ascending), the row ordered first by ``keys``."""
+    order = np.lexsort(keys[::-1] + (span,))
+    ordered = span[order]
+    head = np.ones(ordered.size, dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    return order[head]
 
 
 def tighten_first_bound(view, delete):

@@ -3,14 +3,15 @@
 A query runs in three steps.  *Read metadata*: the chunks overlapping the
 range and the series' deletes.  *Sweep*: a chunk wholly inside one span
 enters it with its stored statistics; every chunk that a span bound (or
-the range itself) splits is opened exactly once, delete-filtered, cut at
-all the span bounds it reaches, and enters each of those spans as a
-:class:`~repro.core.m4lsm.candidates.Fragment` with exact statistics of
-its own — Definition 2.4 applied to fragments, so a split chunk
-generates candidates like a whole one instead of failing verification
-against the span's virtual deletes once per span.  *Solve*: a span whose
-members cannot interact (whole chunks uncontested, exact intervals
-pairwise disjoint) is answered from statistics alone; for the others the
+the range itself) splits is opened exactly once, delete-filtered,
+stripped of the timestamps newer split chunks rewrite, cut at all the
+span bounds it reaches, and enters each of those spans as a fragment
+with exact statistics of its own — Definition 2.4 applied to fragments,
+so a split chunk generates candidates like a whole one instead of
+failing verification against the span's virtual deletes once per span.
+*Solve*: every span without a contested whole chunk is answered from
+its members' statistics, all such spans in one array pass
+(:func:`~repro.core.m4lsm.lazyload.fold_members`); for the others the
 solver iterates candidate generation (Section 3.2) and verification
 (Sections 3.3/3.4), lazily loading a whole chunk only when metadata
 cannot answer.  The span's boundaries participate as virtual deletes, so
@@ -31,18 +32,24 @@ from __future__ import annotations
 import os
 from functools import partial
 
+import numpy as np
+
 from ...errors import CorruptFileError, StorageError
 from ...obs import tracer_of
 from ...storage.deadline import check_deadline
 from ...storage.deletes import DeleteList
-from ...storage.overlap import contested_versions
 from ..m4 import (
     _count_degraded,
     degraded_mode,
     drop_quarantined,
     quarantine_chunk,
 )
-from ..result import M4Result, SpanAggregate, merge_time_ranges
+from ..result import (
+    M4Result,
+    SpanAggregate,
+    merge_time_ranges,
+    point_columns,
+)
 from ..spans import all_span_bounds, validate_query
 from .candidates import (
     BP,
@@ -55,6 +62,8 @@ from .candidates import (
     pending_views,
 )
 from .lazyload import (
+    contested_rows,
+    fold_members,
     load_view_data,
     recalc_bottom_top,
     resolve_first,
@@ -276,126 +285,108 @@ class M4LSMOperator:
             bounds = all_span_bounds(t_qs, t_qe, w)
             before = stats.snapshot() if collect_trace else None
             with tracer.span("sweep") as sweep_span:
-                per_span, n_swept, n_fragments = sweep_spans(
+                members = sweep_spans(
                     chunks, bounds, real_deletes, data_reader,
                     partial(quarantine_chunk, self._engine, skipped)
                     if degraded else None)
-                sweep_span.attrs["chunks"] = n_swept
-                sweep_span.attrs["fragments"] = n_fragments
+                sweep_span.attrs["chunks"] = members.n_swept
+                sweep_span.attrs["fragments"] = members.n_fragments
             swept = stats.diff(before) if collect_trace else None
 
-            contested = contested_versions(chunks, real_deletes) \
-                if self._fused_fast_path else None
-
-            span_traces = [] if collect_trace else None
-            spans = []
+            occupied = np.zeros(w, dtype=bool)
+            occupied[members.span] = True
+            solver = np.zeros(w, dtype=bool)
+            if self._fused_fast_path:
+                solver[members.span[contested_rows(
+                    members, chunks, real_deletes)]] = True
+            else:
+                solver = occupied.copy()
+            times = np.zeros((4, w), dtype=np.int64)
+            values = np.zeros((4, w), dtype=np.float64)
+            solved = {}   # span -> SpanTrace fields, traced queries only
             span_bounds = bounds.tolist()
             with tracer.span("solve", spans=w,
                              chunks=len(chunks)) as solve_span:
-                n_fused = n_solver = 0
-                for i in range(w):
+                check_deadline()  # cancellation point: before the spans
+                rows = ~solver[members.span]
+                fused, fused_times, fused_values = fold_members(
+                    members.span[rows], members.times[:, rows],
+                    members.values[:, rows])
+                times[:, fused] = fused_times
+                values[:, fused] = fused_values
+                solver_spans = np.flatnonzero(solver).tolist()
+                for i in solver_spans:
                     check_deadline()  # cancellation point: between spans
-                    start, end = span_bounds[i], span_bounds[i + 1]
-                    members = per_span[i]
-                    if not members:
-                        spans.append(SpanAggregate())
-                        if collect_trace:
-                            span_traces.append(SpanTrace(i, start, end,
-                                                         EMPTY))
-                        continue
-                    if collect_trace:
-                        n_frag_i = sum(isinstance(m, Fragment)
-                                       for m in members)
-                    if contested is not None:
-                        fused = _fused_span(members, contested)
-                        if fused is not None:
-                            spans.append(fused)
-                            n_fused += 1
-                            if collect_trace:
-                                span_traces.append(SpanTrace(
-                                    i, start, end, FUSED,
-                                    n_chunks=len(members),
-                                    fragments=n_frag_i))
-                            continue
                     before = stats.snapshot() if collect_trace else None
-                    while True:
-                        views = [ChunkView(member, start, end)
-                                 for member in members]
-                        solver = SpanSolver(
-                            views, real_deletes, data_reader,
-                            stats=stats, lazy=self._lazy,
-                            use_regression=self._use_regression)
-                        try:
-                            spans.append(solver.solve())
-                            break
-                        except CorruptFileError as exc:
-                            if not degraded:
-                                raise
-                            # Quarantine the damaged chunk and re-solve
-                            # the span from the survivors.
-                            members = self._quarantine_bad(exc, members,
-                                                           skipped)
-                            if not members:
-                                spans.append(SpanAggregate())
-                                break
-                    n_solver += 1
+                    aggregate, n_members = self._solve_span(
+                        [members.member(row) for row in members.rows_of(i)],
+                        span_bounds[i], span_bounds[i + 1], real_deletes,
+                        data_reader, degraded, skipped)
+                    if aggregate.is_empty():
+                        occupied[i] = False
+                    else:
+                        times[:, [i]], values[:, [i]] = point_columns(
+                            [aggregate])
                     if collect_trace:
                         diff = stats.diff(before)
-                        span_traces.append(SpanTrace(
-                            i, start, end, SOLVER,
-                            n_chunks=len(members),
-                            fragments=n_frag_i,
+                        solved[i] = dict(
+                            n_chunks=n_members,
                             iterations=diff.candidate_iterations,
                             chunk_loads=diff.chunk_loads,
                             pages_decoded=diff.pages_decoded,
-                            index_lookups=diff.index_lookups))
-                solve_span.attrs["fused"] = n_fused
-                solve_span.attrs["solver"] = n_solver
-            result = M4Result(
-                int(t_qs), int(t_qe), int(w), tuple(spans),
+                            index_lookups=diff.index_lookups)
+                solve_span.attrs["fused"] = len(fused)
+                solve_span.attrs["solver"] = len(solver_spans)
+            result = M4Result.from_columns(
+                t_qs, t_qe, w, occupied, times, values,
                 skipped=merge_time_ranges(skipped, t_qs, t_qe))
             if result.degraded:
                 _count_degraded(self._engine, self.name)
-            trace = QueryTrace(
-                series_name, int(t_qs), int(t_qe), int(w),
-                tuple(span_traces), swept_chunks=n_swept,
-                sweep_chunk_loads=swept.chunk_loads,
-                sweep_pages_decoded=swept.pages_decoded) \
-                if collect_trace else None
+            trace = None
+            if collect_trace:
+                trace = QueryTrace(
+                    series_name, int(t_qs), int(t_qe), int(w),
+                    _span_traces(members, span_bounds, solver, solved),
+                    swept_chunks=members.n_swept,
+                    sweep_chunk_loads=swept.chunk_loads,
+                    sweep_pages_decoded=swept.pages_decoded)
             return result, trace
 
-
-def _fused_span(members, contested):
-    """Aggregate of a span whose members cannot interact, else ``None``.
-
-    That holds when every whole chunk is uncontested (its statistics are
-    exact and nothing overlaps it; a fragment's always are exact) and
-    the members' exact intervals are pairwise disjoint, so no point of
-    one can overwrite a point of another: the span's representation
-    points are then the extremes over the members' statistics.
-    """
-    if len(members) > 1:
-        members = sorted(members, key=_start_time)
-    first = last = bottom = top = None
-    for member in members:
-        if member.version in contested \
-                and not isinstance(member, Fragment):
-            return None
-        stats = member.statistics
-        if last is not None and stats.first.t <= last.t:
-            return None  # overlaps the previous member: needs the solver
-        if first is None:
-            first = stats.first
-        last = stats.last
-        # Value ties break on earliest timestamp, which in start-time
-        # order is the first member seen, so the fused answer matches
-        # the solver and the UDF.
-        if bottom is None or stats.bottom.v < bottom.v:
-            bottom = stats.bottom
-        if top is None or stats.top.v > top.v:
-            top = stats.top
-    return SpanAggregate(first=first, last=last, bottom=bottom, top=top)
+    def _solve_span(self, members, start, end, real_deletes, data_reader,
+                    degraded, skipped):
+        """``(SpanAggregate, members left)`` of one contested span; in
+        degraded mode a damaged chunk is quarantined and the span
+        re-solved from the survivors."""
+        while members:
+            views = [ChunkView(member, start, end) for member in members]
+            solver = SpanSolver(views, real_deletes, data_reader,
+                                stats=self._engine.stats, lazy=self._lazy,
+                                use_regression=self._use_regression)
+            try:
+                return solver.solve(), len(members)
+            except CorruptFileError as exc:
+                if not degraded:
+                    raise
+                members = self._quarantine_bad(exc, members, skipped)
+        return SpanAggregate(), 0
 
 
-def _start_time(member):
-    return member.statistics.first.t
+def _span_traces(members, span_bounds, solver, solved):
+    """One :class:`SpanTrace` per span for EXPLAIN."""
+    w = len(span_bounds) - 1
+    n_members = np.bincount(members.span, minlength=w).tolist()
+    n_fragments = np.bincount(members.span[:members.n_fragments],
+                              minlength=w).tolist()
+    traces = []
+    for i in range(w):
+        start, end = span_bounds[i], span_bounds[i + 1]
+        if not n_members[i]:
+            traces.append(SpanTrace(i, start, end, EMPTY))
+        elif solver[i]:
+            traces.append(SpanTrace(i, start, end, SOLVER,
+                                    fragments=n_fragments[i], **solved[i]))
+        else:
+            traces.append(SpanTrace(i, start, end, FUSED,
+                                    n_chunks=n_members[i],
+                                    fragments=n_fragments[i]))
+    return tuple(traces)

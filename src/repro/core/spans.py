@@ -66,6 +66,15 @@ def all_span_bounds(t_qs, t_qe, w):
     return t_qs + -((-i * duration) // w)
 
 
+def span_starts(timestamps, t_qs, t_qe, w):
+    """``(spans, starts)`` for time-ordered timestamps inside the range:
+    the occupied spans in ascending order and the row each one begins
+    at — the segments of :func:`repro.core.m4.segment_m4`."""
+    cuts = np.searchsorted(timestamps, all_span_bounds(t_qs, t_qe, w))
+    spans = np.flatnonzero(cuts[1:] > cuts[:-1])
+    return spans, cuts[spans]
+
+
 def iter_spans(t_qs, t_qe, w):
     """Yield ``(i, start, end)`` for every non-empty span.
 

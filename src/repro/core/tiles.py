@@ -72,6 +72,8 @@ import collections
 import dataclasses
 import threading
 
+import numpy as np
+
 from ..obs.tracer import ambient_span, tracer_of
 from ..storage.deadline import check_deadline
 from .m4 import degraded_mode
@@ -86,7 +88,7 @@ _INVALIDATION_LOG = 256
 #: Rough per-object byte costs used for the LRU budget.  They only need
 #: to be a consistent charge, not an exact ``sys.getsizeof`` walk.
 _ENTRY_BYTES = 240       # TileEntry + dict/key/LRU bookkeeping
-_SPAN_BYTES = 72         # one SpanAggregate shell
+_SPAN_BYTES = 72         # one cell's share of the columns
 _POINT_BYTES = 72        # one Point (t, v)
 _RANGE_BYTES = 48        # one skipped (lo, hi) pair
 
@@ -138,9 +140,11 @@ def snap_viewport(t_qs, t_qe, w, tile_spans=None):
 
 @dataclasses.dataclass(frozen=True)
 class TileEntry:
-    """One cached tile: its spans, degraded ranges and byte charge."""
+    """One cached tile: its cells, degraded ranges and byte charge."""
 
-    spans: tuple        # T SpanAggregates, cell order
+    #: the tile's ``T`` cells as the columns of an :class:`M4Result` over
+    #: ``[0, T)`` (where the tile lies in time is its cache key's business)
+    cells: M4Result
     skipped: tuple      # canonical (lo, hi) ranges within the tile
     nbytes: int
     #: merged half-open time ranges whose cells must be recomputed
@@ -150,12 +154,18 @@ class TileEntry:
     @classmethod
     def from_result(cls, result):
         """Build an entry from the tile's :class:`M4Result`."""
-        nbytes = _ENTRY_BYTES + _RANGE_BYTES * len(result.skipped)
-        for span in result.spans:
-            nbytes += _SPAN_BYTES
-            if not span.is_empty():
-                nbytes += 4 * _POINT_BYTES
-        return cls(tuple(result.spans), tuple(result.skipped), nbytes)
+        nbytes = (_ENTRY_BYTES + _RANGE_BYTES * len(result.skipped)
+                  + _SPAN_BYTES * result.w
+                  + 4 * _POINT_BYTES * int(result.occupied.sum()))
+        cells = M4Result.from_columns(0, result.w, result.w,
+                                      result.occupied, result.times,
+                                      result.values)
+        return cls(cells, tuple(result.skipped), nbytes)
+
+    @property
+    def spans(self):
+        """The cells as :class:`SpanAggregate` views, cell order."""
+        return self.cells.spans
 
     def with_dirty(self, lo, hi):
         """A copy with ``[lo, hi)`` merged into the dirty ranges."""
@@ -481,7 +491,7 @@ class TiledM4Operator:
             return self._inner.query(series_name, t_qs, t_qe, w)
         s = 1 << level
         per_tile = cache.spans_per_tile
-        spans = []
+        pieces = []    # M4 columns of the tiles and edge runs, in order
         skipped = []
         hits = misses = repairs = 0
         with tracer_of(self._engine).span("tiles.stitch",
@@ -523,7 +533,7 @@ class TiledM4Operator:
                     hits += hit
                     misses += not hit
                     repairs += repaired
-                    spans.extend(entry.spans)
+                    pieces.append(entry.cells)
                     skipped.extend(entry.skipped)
                     cell = tile_end
                 else:  # partial edge run (head or tail, never cached)
@@ -533,15 +543,19 @@ class TiledM4Operator:
                         result = self._inner.query(
                             series_name, cell * s,
                             run_end * s, run_end - cell)
-                    spans.extend(result.spans)
+                    pieces.append(result)
                     skipped.extend(result.skipped)
                     cell = run_end
             stitch.attrs["hits"] = hits
             stitch.attrs["misses"] = misses
             if repairs:
                 stitch.attrs["repaired_cells"] = repairs
-        return M4Result(int(t_qs), int(t_qe), int(w), tuple(spans),
-                        skipped=merge_time_ranges(skipped, t_qs, t_qe))
+        return M4Result.from_columns(
+            t_qs, t_qe, w,
+            np.concatenate([p.occupied for p in pieces]),
+            np.concatenate([p.times for p in pieces], axis=1),
+            np.concatenate([p.values for p in pieces], axis=1),
+            skipped=merge_time_ranges(skipped, t_qs, t_qe))
 
     def _repair(self, series_name, level, tile, entry, epoch, s,
                 tile_start, tile_end):
@@ -562,7 +576,10 @@ class TiledM4Operator:
         """
         cache = self._cache
         lo_t, hi_t = tile_start * s, tile_end * s
-        spans = list(entry.spans)
+        cells = entry.cells
+        occupied = cells.occupied.copy()
+        times = cells.times.copy()
+        values = cells.values.copy()
         skipped = list(entry.skipped)
         recomputed = 0
         for d_lo, d_hi in entry.dirty:
@@ -572,7 +589,10 @@ class TiledM4Operator:
                 continue
             result = self._inner.query(series_name, c0 * s, c1 * s,
                                        c1 - c0)
-            spans[c0 - tile_start:c1 - tile_start] = result.spans
+            lo, hi = c0 - tile_start, c1 - tile_start
+            occupied[lo:hi] = result.occupied
+            times[:, lo:hi] = result.times
+            values[:, lo:hi] = result.values
             # Splice skipped ranges: keep the parts of the old ranges
             # outside the recomputed window, take the fresh computation
             # inside it.
@@ -584,8 +604,8 @@ class TiledM4Operator:
                     kept.append((max(a, c1 * s), b))
             skipped = kept + list(result.skipped)
             recomputed += c1 - c0
-        fresh = TileEntry.from_result(M4Result(
-            lo_t, hi_t, tile_end - tile_start, tuple(spans),
+        fresh = TileEntry.from_result(M4Result.from_columns(
+            lo_t, hi_t, tile_end - tile_start, occupied, times, values,
             skipped=merge_time_ranges(skipped, lo_t, hi_t)))
         cache.insert(series_name, level, tile, fresh, epoch)
         cache.count_repairs(recomputed)

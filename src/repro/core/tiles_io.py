@@ -31,7 +31,7 @@ import threading
 import zlib
 
 from ..storage import faultfs
-from .result import SpanAggregate
+from .result import M4Result, SpanAggregate
 from .series import Point
 from .tiles import TileEntry
 
@@ -108,10 +108,10 @@ def _unpack_tile(payload):
     if pos != len(view):
         raise ValueError("%d trailing byte(s) in tile record"
                          % (len(view) - pos))
-    result_like = TileEntry(tuple(spans), tuple(skipped), 0)
     # Recompute the byte charge with the live estimator so budgets stay
     # consistent across format versions.
-    return series, level, tile, TileEntry.from_result(result_like)
+    cells = M4Result(0, n_spans, n_spans, spans, skipped=skipped)
+    return series, level, tile, TileEntry.from_result(cells)
 
 
 def save_tiles(path, snapshot, fingerprint, spans_per_tile):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import time
 
+import numpy as np
+
 from ..core.m4 import M4UDFOperator
 from ..core.m4lsm import M4LSMOperator
 from ..core.tiles import m4_operator
@@ -25,7 +27,8 @@ _FIELD_NAMES = {
     ("BP", "t"): "BottomTime", ("BP", "v"): "BottomValue",
     ("TP", "t"): "TopTime", ("TP", "v"): "TopValue",
 }
-_POINT_ATTR = {"FP": "first", "LP": "last", "BP": "bottom", "TP": "top"}
+#: Row of each function in ``M4Result.times`` / ``M4Result.values``.
+_FUNCTION_ROW = {"FP": 0, "LP": 1, "BP": 2, "TP": 3}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,16 +195,12 @@ class Executor:
 
     def _m4_table(self, parsed, result):
         columns = ["span"] + [_FIELD_NAMES[c] for c in parsed.columns]
-        rows = []
-        for i, span in enumerate(result.spans):
-            if span.is_empty():
-                continue
-            row = [i]
-            for function, field in parsed.columns:
-                point = getattr(span, _POINT_ATTR[function])
-                row.append(point.t if field == "t" else point.v)
-            rows.append(tuple(row))
-        return ResultTable(tuple(columns), tuple(rows),
+        index = np.flatnonzero(result.occupied)
+        cells = [index.tolist()]
+        for function, field in parsed.columns:
+            array = result.times if field == "t" else result.values
+            cells.append(array[_FUNCTION_ROW[function], index].tolist())
+        return ResultTable(tuple(columns), tuple(zip(*cells)),
                            _degraded_meta(result.skipped))
 
     def _execute_agg(self, parsed):

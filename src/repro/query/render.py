@@ -7,6 +7,8 @@ code against the engine that owns the series.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.tiles import m4_operator
 from ..errors import QueryError, ReproError
 from ..viz.raster import PixelGrid, rasterize
@@ -47,16 +49,13 @@ def render_chart(engine, series, width, height, t_qs=None, t_qe=None,
 
 def spans_as_json(result):
     """Per-pixel-column representation points, empty spans skipped."""
-    spans = []
-    for i, span in enumerate(result.spans):
-        if span.is_empty():
-            continue
-        spans.append({"span": i,
-                      "first": [span.first.t, span.first.v],
-                      "last": [span.last.t, span.last.v],
-                      "bottom": [span.bottom.t, span.bottom.v],
-                      "top": [span.top.t, span.top.v]})
-    return spans
+    index = np.flatnonzero(result.occupied)
+    times = result.times[:, index].T.tolist()
+    values = result.values[:, index].T.tolist()
+    return [{"span": i,
+             "first": [t[0], v[0]], "last": [t[1], v[1]],
+             "bottom": [t[2], v[2]], "top": [t[3], v[3]]}
+            for i, t, v in zip(index.tolist(), times, values)]
 
 
 def compute_delta_spans(engine, series, ranges, span):

@@ -6,16 +6,18 @@ may overwrite their points) or a delete range (some points may be gone).
 Both the M4-LSM fused fast path and the metadata-accelerated aggregation
 consult this set; everything in it goes through the slow, exact path.
 
-The overlap sweep marks *every* member of *every* overlapping pair: the
-chunks are scanned in start-time order with an active set of not-yet-
-expired intervals, and each incoming chunk marks itself plus all active
-chunks it intersects.  (A naive adjacent-pair comparison misses pairs
-separated by a short chunk in the sort order.)
+A chunk overlaps another exactly when, in start-time order, it starts
+at or before the latest end seen so far (an earlier chunk reaches it)
+or ends at or after the next chunk's start (it reaches a later one).
+Both tests are one vectorized pass over the sorted intervals, so *every*
+member of *every* overlapping pair is marked, including pairs separated
+by a short chunk in the sort order, which an adjacent-pair comparison
+of end against start alone would miss.
 """
 
 from __future__ import annotations
 
-import heapq
+import numpy as np
 
 
 def contested_versions(chunks, deletes=()):
@@ -28,26 +30,26 @@ def contested_versions(chunks, deletes=()):
     Returns:
         a set of version numbers.
     """
-    contested = set()
-    ordered = sorted(chunks, key=lambda m: m.start_time)
+    chunks = list(chunks)
+    if not chunks:
+        return set()
+    stats = [m.statistics for m in chunks]
+    start = np.array([s.first.t for s in stats], dtype=np.int64)
+    end = np.array([s.last.t for s in stats], dtype=np.int64)
+    version = np.array([m.version for m in chunks], dtype=np.int64)
+    order = np.argsort(start, kind="stable")
+    start, end, version = start[order], end[order], version[order]
 
-    active = []  # heap of (end_time, version)
-    for meta in ordered:
-        while active and active[0][0] < meta.start_time:
-            heapq.heappop(active)
-        if active:
-            contested.add(meta.version)
-            for _end, version in active:
-                contested.add(version)
-        heapq.heappush(active, (meta.end_time, meta.version))
+    contested = np.zeros(len(chunks), dtype=bool)
+    contested[1:] = start[1:] <= np.maximum.accumulate(end)[:-1]
+    contested[:-1] |= end[:-1] >= start[1:]
 
-    for meta in ordered:
-        if meta.version in contested:
-            continue
-        for delete in deletes:
-            if (delete.version > meta.version
-                    and delete.t_start <= meta.end_time
-                    and delete.t_end >= meta.start_time):
-                contested.add(meta.version)
-                break
-    return contested
+    deletes = list(deletes)
+    if deletes:
+        d_start = np.array([d.t_start for d in deletes], dtype=np.int64)
+        d_end = np.array([d.t_end for d in deletes], dtype=np.int64)
+        d_version = np.array([d.version for d in deletes], dtype=np.float64)
+        contested |= ((d_version[None, :] > version[:, None])
+                      & (d_start[None, :] <= end[:, None])
+                      & (d_end[None, :] >= start[:, None])).any(axis=1)
+    return set(version[contested].tolist())

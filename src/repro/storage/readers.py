@@ -42,7 +42,8 @@ class MetadataReader:
     def chunks_overlapping(self, t_start, t_end):
         """Metadata of chunks whose interval intersects ``[t_start, t_end)``."""
         out = [m for m in self._chunks
-               if m.statistics.overlaps(t_start, t_end)]
+               if (s := m.statistics).first.t < t_end
+               and s.last.t >= t_start]
         self._account(len(out))
         return sorted(out, key=lambda m: m.version)
 

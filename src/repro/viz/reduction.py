@@ -11,50 +11,39 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.m4 import first_extreme, m4_aggregate_arrays
 from ..core.series import TimeSeries
-from ..core.spans import span_indices, validate_query
+from ..core.spans import span_starts, validate_query
 
 
-def _group_slices(timestamps, t_qs, t_qe, w):
-    """Contiguous ``(span, start, end)`` slices of in-range points."""
+def _in_range(timestamps, values, t_qs, t_qe, w):
+    """The in-range arrays plus the row each occupied span starts at."""
+    validate_query(t_qs, t_qe, w)
     t = np.asarray(timestamps)
+    v = np.asarray(values)
     lo = int(np.searchsorted(t, t_qs, side="left"))
     hi = int(np.searchsorted(t, t_qe, side="left"))
-    if lo == hi:
-        return t[:0], lo, []
-    indices = span_indices(t[lo:hi], t_qs, t_qe, w)
-    occupied, starts = np.unique(indices, return_index=True)
-    ends = np.append(starts[1:], hi - lo)
-    return t, lo, list(zip(occupied, starts + lo, ends + lo))
+    t, v = t[lo:hi], v[lo:hi]
+    return t, v, span_starts(t, t_qs, t_qe, w)[1]
 
 
 def minmax_reduce(timestamps, values, t_qs, t_qe, w):
     """Per span keep only a min-value and a max-value point."""
-    validate_query(t_qs, t_qe, w)
-    v = np.asarray(values)
-    _t, _lo, slices = _group_slices(timestamps, t_qs, t_qe, w)
-    t = np.asarray(timestamps)
-    keep = []
-    for _span, start, end in slices:
-        seg = v[start:end]
-        keep.append(start + int(np.argmin(seg)))
-        keep.append(start + int(np.argmax(seg)))
-    rows = np.unique(np.array(keep, dtype=np.int64))
+    t, v, starts = _in_range(timestamps, values, t_qs, t_qe, w)
+    if not t.size:
+        return TimeSeries(t, v, validate=False)
+    rows = np.unique(np.concatenate((first_extreme(v, starts, np.minimum),
+                                     first_extreme(v, starts, np.maximum))))
     return TimeSeries(t[rows], v[rows], validate=False)
 
 
 def paa_reduce(timestamps, values, t_qs, t_qe, w):
     """Piecewise Aggregate Approximation: one mean point per span,
     placed at the span's mean timestamp."""
-    validate_query(t_qs, t_qe, w)
-    t = np.asarray(timestamps)
-    v = np.asarray(values)
-    _t, _lo, slices = _group_slices(timestamps, t_qs, t_qe, w)
-    out_t = []
-    out_v = []
-    for _span, start, end in slices:
-        out_t.append(int(t[start:end].mean()))
-        out_v.append(float(v[start:end].mean()))
+    t, v, starts = _in_range(timestamps, values, t_qs, t_qe, w)
+    ends = np.append(starts[1:], t.size)
+    out_t = [int(t[a:b].mean()) for a, b in zip(starts, ends)]
+    out_v = [float(v[a:b].mean()) for a, b in zip(starts, ends)]
     return TimeSeries(np.array(out_t, dtype=np.int64),
                       np.array(out_v, dtype=np.float64))
 
@@ -84,7 +73,6 @@ def random_sample(timestamps, values, target_points, seed=0):
 
 def m4_reduce(timestamps, values, t_qs, t_qe, w):
     """M4 reduction as a series (the paper's in-DB reducer)."""
-    from ..core.m4 import m4_aggregate_arrays
     return m4_aggregate_arrays(timestamps, values, t_qs, t_qe, w).to_series()
 
 

@@ -112,7 +112,7 @@ def test_cache_accounting_under_contention(seed):
                 if roll < 0.45:
                     epoch = cache.epoch(series)
                     jitter()
-                    entry = TileEntry(spans=(), skipped=(),
+                    entry = TileEntry(cells=None, skipped=(),
                                       nbytes=int(rng.integers(50, 400)))
                     cache.insert(series, 0, tile, entry, epoch)
                 elif roll < 0.8:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core import M4LSMOperator, M4UDFOperator, Point
 from repro.core.m4lsm import FUSED, SOLVER
+from repro.core.m4lsm.lazyload import sweep_spans
 from repro.core.spans import all_span_bounds
 from repro.errors import CorruptFileError, DeadlineExceededError
 from repro.obs import tracer_of
@@ -131,11 +132,24 @@ class TestSweepObservability:
         assert sweep.counters["chunk_loads"] == trace.sweep_chunk_loads
 
     def test_solver_still_runs_on_real_overlaps(self, busy_store):
+        # At w=30 most chunks lie wholly inside a span, and the spans
+        # holding a rewritten (contested) whole chunk need the solver.
         engine, t = busy_store
         _result, trace = M4LSMOperator(engine).query_traced(
-            "s", int(t[0]), int(t[-1]) + 1, 150)
+            "s", int(t[0]), int(t[-1]) + 1, 30)
         modes = trace.counts_by_mode()
         assert modes[SOLVER] > 0 and modes[FUSED] > modes[SOLVER]
+
+    def test_overlapping_split_chunks_fuse(self, busy_store):
+        # At w=150 every chunk is split: the sweep drops the points the
+        # rewrites overwrite, so the overlaps need no solver at all.
+        engine, t = busy_store
+        t_qs, t_qe = int(t[0]), int(t[-1]) + 1
+        assert_identical(engine, "s", t_qs, t_qe, 150)
+        _result, trace = M4LSMOperator(engine).query_traced(
+            "s", t_qs, t_qe, 150)
+        assert trace.counts_by_mode()[SOLVER] == 0
+        assert trace.total("iterations") == 0
 
 
 # -- the property: what the sweep changed ----------------------------------------
@@ -218,6 +232,25 @@ def test_sweep_keeps_lsm_identical_to_udf(tmp_path_factory, history,
     try:
         t_qs, t_qe, w = history[3:6]
         assert_identical(engine, "s", t_qs, t_qe, w, **switches)
+    finally:
+        engine.close()
+
+
+@given(split_history())
+@settings(max_examples=40, deadline=None)
+def test_sweep_fragments_never_share_a_timestamp(tmp_path_factory, history):
+    """The sweep is overwrite-free: after it, no point of one fragment
+    can be rewritten by another, which is what lets them fold."""
+    engine = build_split_store(tmp_path_factory.mktemp("free"), history)
+    try:
+        t_qs, t_qe, w = history[3:6]
+        chunks = engine.metadata_reader("s").chunks_overlapping(t_qs, t_qe)
+        members = sweep_spans(chunks, all_span_bounds(t_qs, t_qe, w),
+                              engine.deletes_for("s"), engine.data_reader())
+        if members.n_fragments:
+            assert np.unique(members.data_t).size == members.data_t.size
+            assert members.count[:members.n_fragments].sum() \
+                == members.data_t.size
     finally:
         engine.close()
 

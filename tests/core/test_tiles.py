@@ -14,7 +14,7 @@ from repro.obs import MetricsRegistry
 
 
 def entry(nbytes=100):
-    return TileEntry(spans=(), skipped=(), nbytes=nbytes)
+    return TileEntry(cells=None, skipped=(), nbytes=nbytes)
 
 
 def fresh_insert(cache, series, level, tile, e=None):

@@ -15,7 +15,7 @@ import pytest
 from repro.core import M4LSMOperator, TiledM4Operator
 from repro.core.tiles import TileCache, TileEntry
 from repro.core.tiles_io import FILENAME, MAGIC, load_tiles, save_tiles
-from repro.core.result import SpanAggregate
+from repro.core.result import M4Result, SpanAggregate
 from repro.core.series import Point
 from repro.storage import StorageConfig, StorageEngine, fsck_store
 
@@ -29,9 +29,9 @@ def span(t0):
 
 def sample_snapshot():
     full = TileEntry.from_result(
-        TileEntry((span(0), span(4), SpanAggregate(), span(12)),
-                  ((5, 7),), 0))
-    empty = TileEntry.from_result(TileEntry((SpanAggregate(),) * 4, (), 0))
+        M4Result(0, 16, 4, (span(0), span(4), SpanAggregate(), span(12)),
+                 skipped=((5, 7),)))
+    empty = TileEntry.from_result(M4Result(0, 4, 4, (SpanAggregate(),) * 4))
     return [("s", 2, 0, full), ("s", 2, 1, empty), ("über", 0, -3, full)]
 
 
