@@ -35,6 +35,7 @@ import numpy as np
 from ..errors import QueryError
 from ..storage.deadline import check_deadline
 from ..storage.merge import merge_arrays
+from ..storage.overlap import contested_versions
 from ..storage.statistics import Statistics
 from .m4 import (
     M4UDFOperator,
@@ -44,7 +45,7 @@ from .m4 import (
     quarantine_chunk,
     segment_m4,
 )
-from .m4lsm.lazyload import contested_rows, fold_members, sweep_spans
+from .m4lsm.lazyload import fold_members, sweep_spans
 from .result import merge_time_ranges, point_columns
 from .spans import all_span_bounds, span_starts, validate_query
 
@@ -174,7 +175,9 @@ def aggregate_lsm(engine, series, t_qs, t_qe, w, functions, degraded=None):
     members = sweep_spans(
         chunks, all_span_bounds(t_qs, t_qe, w), deletes, reader,
         partial(quarantine_chunk, engine, skipped) if degraded else None)
-    contested = contested_rows(members, chunks, deletes)
+    whole = np.arange(members.n_fragments, members.span.size)
+    contested = whole[np.isin(members.version[whole],
+                              list(contested_versions(chunks, deletes)))]
     merge = np.zeros(w, dtype=bool)
     merge[members.span[contested]] = True
 
@@ -182,8 +185,9 @@ def aggregate_lsm(engine, series, t_qs, t_qe, w, functions, degraded=None):
     check_deadline()  # cancellation point: before the fold
     rows = ~merge[members.span]
     span = members.span[rows]
-    spans, times, values = fold_members(span, members.times[:, rows],
-                                        members.values[:, rows])
+    spans, _rows, times, values = fold_members(
+        span, members.times[:, rows], members.values[:, rows],
+        members.version[rows])
     count = np.bincount(span, weights=members.count[rows], minlength=w)
     with np.errstate(invalid="ignore", over="ignore"):
         sums = np.bincount(span, weights=members.value_sums()[rows],

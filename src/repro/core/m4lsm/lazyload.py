@@ -4,12 +4,12 @@ Two kinds of chunk reach a span.  One that a span bound splits is
 loaded up front, once per query, by :func:`sweep_spans`, stripped of
 the timestamps newer loaded chunks rewrite, and handed to each span it
 reaches as a fragment with exact statistics; the sweep returns every
-member as a row of :class:`SpanMembers`, and :func:`fold_members`
-answers all spans whose members cannot interact in one array pass.
-The same sweep feeds the GROUP BY aggregates of
-:mod:`repro.core.aggregation`.  A chunk wholly inside the span starts
-from its stored metadata; in a span the solver takes, its view is *not*
-reloaded eagerly when a candidate fails verification:
+member as a row of :class:`SpanMembers`; :func:`fold_members` and
+:func:`verify_fold` settle every span whose candidates survive in one
+array pass.  The same sweep feeds :mod:`repro.core.aggregation`.  A
+chunk wholly inside the span starts from its stored metadata; in a span
+the solver takes, its view is *not* reloaded eagerly when a candidate
+fails verification:
 
 * FP/LP — the killing delete's boundary tightens the view's time bound;
   an actual recomputation, when finally needed, walks the chunk index
@@ -28,7 +28,6 @@ import numpy as np
 
 from ...errors import CorruptFileError
 from ...storage.deadline import check_deadline
-from ...storage.overlap import contested_versions
 from ...storage.statistics import Statistics
 from ..m4 import segment_m4
 from ..result import point_columns
@@ -208,38 +207,63 @@ def _drop_overwritten(loaded):
                 item[3], item[4] = item[3][~gone], item[4][~gone]
 
 
-def contested_rows(members, chunks, real_deletes):
-    """Rows of whole chunks whose statistics another chunk or a newer
-    delete may contradict; their spans need the data, not the fold.
+def fold_members(span, times, values, version):
+    """Per-span FP/LP/BP/TP candidates of the member rows: the earliest
+    FP, the latest LP and the extreme BP/TP, a value tie going to the
+    earliest time as in ``argmin`` and a time tie to the newest version.
 
-    Fragments are never contested: they are delete-filtered and the
-    sweep removed the points newer fragments rewrite.  A whole chunk
-    that overlaps a split one lies in a single span, and marks it.
+    Returns ``(spans, rows, times, values)`` for the distinct spans in
+    ascending order: each candidate's source row and its columns, shaped
+    ``(4, spans)`` as in :class:`M4Result`.
     """
-    whole = np.arange(members.n_fragments, len(members.metas))
-    if not whole.size:
-        return whole
-    contested = contested_versions(chunks, real_deletes)
-    return whole[np.isin(members.version[whole], list(contested))]
-
-
-def fold_members(span, times, values):
-    """Per-span FP/LP/BP/TP of member rows that cannot interact.
-
-    Valid when no member's points can be overwritten or deleted by
-    another's: then a span's FP is its members' earliest FP, LP the
-    latest LP, and BP/TP the extreme BP/TP, a value tie going to the
-    earliest time as in ``argmin``.  Returns ``(spans, times, values)``
-    for the distinct spans in ascending order, columns as in
-    :class:`M4Result`.
-    """
-    first = _heads(span, times[0])
-    last = _heads(span, -times[1])
-    bottom = _heads(span, values[2], times[2])
-    top = _heads(span, -values[3], times[3])
+    newest = -version
+    first = _heads(span, times[0], newest)
+    last = _heads(span, -times[1], newest)
+    bottom = _heads(span, values[2], times[2], newest)
+    top = _heads(span, -values[3], times[3], newest)
     rows = np.stack((first, last, bottom, top))
     picks = np.arange(4)[:, None]
-    return span[first], times[picks, rows], values[picks, rows]
+    return span[first], rows, times[picks, rows], values[picks, rows]
+
+
+def verify_fold(members, spans, rows, times, real_deletes):
+    """Mask over the folded ``spans`` of those whose four candidates
+    survive verification (Sections 3.3 and 3.4, all spans at once).
+
+    A candidate survives when no newer member of its span has an
+    interval ``[FP.t, LP.t]`` covering its time and, for a whole chunk's,
+    no newer real delete covers it.  Every member's metadata bounds the
+    span's surviving extremes, so a surviving candidate is the answer.
+    Fragments never contradict each other (delete-filtered and
+    overwrite-free), so a query without whole chunks is settled as is,
+    and each member is checked against its own span's candidates only
+    in pairs with a whole chunk on at least one side.
+    """
+    settled = np.ones(spans.size, dtype=bool)
+    first_whole = members.n_fragments
+    if first_whole == members.span.size:
+        return settled
+    col = np.searchsorted(spans, members.span)
+    cand, t = rows[:, col], times[:, col]
+    version = members.version
+    overwritten = ((version > version[cand])
+                   & ((np.arange(col.size) >= first_whole)
+                      | (cand >= first_whole))
+                   & (members.times[0] <= t) & (t <= members.times[1]))
+    settled[col[overwritten.any(axis=0)]] = False
+
+    whole = rows >= first_whole
+    cand, t, at = rows[whole], times[whole], np.nonzero(whole)[1]
+    deletes = real_deletes.overlapping(int(t.min()), int(t.max())) \
+        if cand.size else None
+    if deletes:
+        d_start, d_end, d_version = np.array(
+            [(d.t_start, d.t_end, d.version) for d in deletes],
+            dtype=np.int64).T
+        deleted = ((d_version > version[cand][:, None])
+                   & (d_start <= t[:, None]) & (t[:, None] <= d_end))
+        settled[at[deleted.any(axis=1)]] = False
+    return settled
 
 
 def _heads(span, *keys):

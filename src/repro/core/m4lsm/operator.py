@@ -9,14 +9,14 @@ span bounds it reaches, and enters each of those spans as a fragment
 with exact statistics of its own — Definition 2.4 applied to fragments,
 so a split chunk generates candidates like a whole one instead of
 failing verification against the span's virtual deletes once per span.
-*Solve*: every span without a contested whole chunk is answered from
-its members' statistics, all such spans in one array pass
-(:func:`~repro.core.m4lsm.lazyload.fold_members`); for the others the
-solver iterates candidate generation (Section 3.2) and verification
-(Sections 3.3/3.4), lazily loading a whole chunk only when metadata
-cannot answer.  The span's boundaries participate as virtual deletes, so
-a whole-chunk metadata point that falls outside the span is invalidated
-through exactly the same code path as a deleted one.
+*Solve*: Algorithm 1's first round runs for all spans at once, in
+arrays — one fold generates the candidates (Section 3.2,
+:func:`~.lazyload.fold_members`), one pass verifies them (Sections
+3.3/3.4, :func:`~.lazyload.verify_fold`) — and only spans with a failing
+candidate go to :class:`SpanSolver`, which iterates both steps, lazily
+loading a whole chunk only when metadata cannot answer.  The span's
+boundaries participate as virtual deletes, so a whole-chunk metadata
+point outside the span is invalidated like a deleted one.
 
 Invariant maintained by the solve loops: candidates are generated only
 when no view has a pending (invalidated, not yet recomputed) point, and
@@ -62,7 +62,6 @@ from .candidates import (
     pending_views,
 )
 from .lazyload import (
-    contested_rows,
     fold_members,
     load_view_data,
     recalc_bottom_top,
@@ -71,6 +70,7 @@ from .lazyload import (
     sweep_spans,
     tighten_first_bound,
     tighten_last_bound,
+    verify_fold,
 )
 from .tracing import EMPTY, FUSED, SOLVER, QueryTrace, SpanTrace
 from .verification import DELETED, verify_bp_tp, verify_fp_lp
@@ -295,12 +295,7 @@ class M4LSMOperator:
 
             occupied = np.zeros(w, dtype=bool)
             occupied[members.span] = True
-            solver = np.zeros(w, dtype=bool)
-            if self._fused_fast_path:
-                solver[members.span[contested_rows(
-                    members, chunks, real_deletes)]] = True
-            else:
-                solver = occupied.copy()
+            solver = occupied.copy()
             times = np.zeros((4, w), dtype=np.int64)
             values = np.zeros((4, w), dtype=np.float64)
             solved = {}   # span -> SpanTrace fields, traced queries only
@@ -308,12 +303,17 @@ class M4LSMOperator:
             with tracer.span("solve", spans=w,
                              chunks=len(chunks)) as solve_span:
                 check_deadline()  # cancellation point: before the spans
-                rows = ~solver[members.span]
-                fused, fused_times, fused_values = fold_members(
-                    members.span[rows], members.times[:, rows],
-                    members.values[:, rows])
-                times[:, fused] = fused_times
-                values[:, fused] = fused_values
+                fused = np.empty(0, dtype=np.int64)
+                if self._fused_fast_path:
+                    spans, rows, fold_times, fold_values = fold_members(
+                        members.span, members.times, members.values,
+                        members.version)
+                    settled = verify_fold(members, spans, rows, fold_times,
+                                          real_deletes)
+                    fused = spans[settled]
+                    times[:, fused] = fold_times[:, settled]
+                    values[:, fused] = fold_values[:, settled]
+                    solver[fused] = False
                 solver_spans = np.flatnonzero(solver).tolist()
                 for i in solver_spans:
                     check_deadline()  # cancellation point: between spans

@@ -31,6 +31,7 @@ per drain cycle.
 from __future__ import annotations
 
 import collections
+import contextlib
 import logging
 import threading
 import time
@@ -287,9 +288,15 @@ class IngestController:
         tracer = tracer_of(self._engine)
         started = time.perf_counter()
         touched = {}  # series -> [lo, hi) applied this cycle
-        with tracer.span("ingest.apply", batches=len(cycle)):
+        # A series stays write-locked from its first batch to its flush:
+        # a reader in between would find unflushed points and fail.
+        with tracer.span("ingest.apply", batches=len(cycle)), \
+                contextlib.ExitStack() as held:
             for series, t, v, _nbytes, _tenant in cycle:
                 try:
+                    if series not in touched:
+                        held.enter_context(
+                            self._engine.series_lock(series).write())
                     self._engine.write_batch(series, t, v)
                 except Exception:
                     self._c_errors.inc()

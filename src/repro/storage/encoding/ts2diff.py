@@ -52,12 +52,12 @@ def unpack_uint64(data, count, width):
         raise EncodingError(
             "bit-packed payload truncated: need %d bits, have %d"
             % (total_bits, raw.size * 8))
-    bits = np.unpackbits(raw, count=total_bits).reshape(count, width)
-    out = np.zeros(count, dtype=np.uint64)
-    # Accumulate one bit column at a time: at most 64 vectorized passes.
-    for column in range(width):
-        out = (out << np.uint64(1)) | bits[:, column].astype(np.uint64)
-    return out
+    # Left-pad each value's bits to 64 and repack them as big-endian
+    # words: one packbits pass whatever the width.
+    words = np.zeros((count, 64), dtype=np.uint8)
+    words[:, 64 - width:] = np.unpackbits(
+        raw, count=total_bits).reshape(count, width)
+    return np.packbits(words).view(">u8").astype(np.uint64)
 
 
 def encode_ts2diff(values):

@@ -3,8 +3,8 @@
 "Contested" chunks are those whose statistics cannot be trusted in
 isolation: their time interval intersects another chunk's (a newer chunk
 may overwrite their points) or a delete range (some points may be gone).
-Both the M4-LSM fused fast path and the metadata-accelerated aggregation
-consult this set; everything in it goes through the slow, exact path.
+The metadata-accelerated aggregation consults this set (M4-LSM verifies
+its candidates instead); everything in it takes the slow, exact path.
 
 A chunk overlaps another exactly when, in start-time order, it starts
 at or before the latest end seen so far (an earlier chunk reaches it)

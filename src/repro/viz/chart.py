@@ -45,10 +45,15 @@ def side_by_side(left, right, gap="   ", **kwargs):
 def to_pbm(matrix):
     """Serialize a binary matrix as a plain-text PBM (P1) image."""
     m = np.asarray(matrix, dtype=bool)[::-1]  # image origin is top-left
-    header = "P1\n%d %d\n" % (m.shape[1], m.shape[0])
-    body = "\n".join(" ".join("1" if cell else "0" for cell in row)
-                     for row in m)
-    return header + body + "\n"
+    height, width = m.shape
+    header = "P1\n%d %d\n" % (width, height)
+    if not m.size:
+        return header + "\n" * max(height, 1)
+    # One byte array: '0'/'1' cells, ' ' between them, '\n' per row.
+    body = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
+    body[:, 0::2] = m + ord("0")
+    body[:, -1] = ord("\n")
+    return header + body.tobytes().decode("ascii")
 
 
 def save_pbm(matrix, path):

@@ -80,12 +80,18 @@ class PixelGrid:
         return np.zeros((self.height, self.width), dtype=bool)
 
 
+#: Segments drawn per array pass; bounds the working set on full series.
+_BLOCK = 1 << 16
+
+
 def rasterize(series, grid):
     """Ideal two-color polyline rendering of a series onto ``grid``.
 
     Every segment between consecutive points contributes, per pixel
     column it crosses, the contiguous pixel run covering its y-extent in
     that column — the rendering model under which M4 is error-free.
+    All runs are computed in arrays and filled by a per-column
+    cumulative sum; values are expected inside the grid's value range.
     """
     matrix = grid.empty_matrix()
     n = len(series)
@@ -96,39 +102,52 @@ def rasterize(series, grid):
     if n == 1:
         matrix[grid.row_of(float(v[0])), grid.column_of(int(t[0]))] = True
         return matrix
-    for i in range(n - 1):
-        _draw_segment(matrix, grid,
-                      float(grid.x_of(int(t[i]))), grid.y_of(float(v[i])),
-                      float(grid.x_of(int(t[i + 1]))),
-                      grid.y_of(float(v[i + 1])))
-    return matrix
+    # Python ints divide exactly; int64 -> float64 does not past 2**53.
+    x = np.array([grid.x_of(ti) for ti in t.tolist()])
+    y = np.zeros(n) + grid.y_of(v)   # a flat grid's y_of is a scalar 0
+    runs = np.zeros((grid.height + 1) * grid.width, dtype=np.int64)
+    for lo in range(0, n - 1, _BLOCK):
+        starts, ends = _segment_runs(x[lo:lo + _BLOCK + 1],
+                                     y[lo:lo + _BLOCK + 1], grid)
+        runs += np.bincount(starts, minlength=runs.size)
+        runs -= np.bincount(ends, minlength=runs.size)
+    runs = runs.reshape(grid.height + 1, grid.width)
+    return np.cumsum(runs, axis=0)[:-1] > 0
 
 
-def _draw_segment(matrix, grid, x0, y0, x1, y1):
-    """Fill, per crossed column, the pixel run the segment covers."""
-    col0 = min(max(int(x0), 0), grid.width - 1)
-    col1 = min(max(int(x1), 0), grid.width - 1)
-    if x1 == x0:
-        lo, hi = sorted((int(y0 + 0.5), int(y1 + 0.5)))
-        matrix[max(lo, 0):min(hi, grid.height - 1) + 1, col0] = True
-        return
-    slope = (y1 - y0) / (x1 - x0)
-    for col in range(min(col0, col1), max(col0, col1) + 1):
-        # y-extent of the segment within this column's x-range.
-        x_lo = max(col, min(x0, x1))
-        x_hi = min(col + 1, max(x0, x1))
-        if x_hi < x_lo:
-            x_lo = x_hi = max(min(x0, x1), min(col, max(x0, x1)))
-        # Use endpoint heights verbatim where the clamp lands exactly on
-        # an endpoint: re-interpolating them on steep segments loses a
-        # few ulps, enough to flip a pixel at a .5 rounding boundary.
-        y_a = y0 if x_lo == x0 else (y1 if x_lo == x1
-                                     else y0 + slope * (x_lo - x0))
-        y_b = y1 if x_hi == x1 else (y0 if x_hi == x0
-                                     else y0 + slope * (x_hi - x0))
-        lo = int(min(y_a, y_b) + 0.5)
-        hi = int(max(y_a, y_b) + 0.5)
-        matrix[max(lo, 0):min(hi, grid.height - 1) + 1, col] = True
+def _segment_runs(x, y, grid):
+    """Flat ``row * width + col`` index of the first pixel and one past
+    the last of every (segment, crossed column) pair's pixel run."""
+    cols = np.clip(x, 0, grid.width - 1).astype(np.int64)
+    n_cols = np.abs(cols[1:] - cols[:-1]) + 1
+    seg = np.repeat(np.arange(n_cols.size), n_cols)
+    col = np.minimum(cols[:-1], cols[1:])[seg] + np.arange(seg.size) \
+        - np.repeat(np.cumsum(n_cols) - n_cols, n_cols)
+    x0, x1, y0, y1 = x[:-1][seg], x[1:][seg], y[:-1][seg], y[1:][seg]
+    # The segment's x-range within the column, clamped onto the segment
+    # when the column lies outside it (a vertical one keeps its own x).
+    x_min, x_max = np.minimum(x0, x1), np.maximum(x0, x1)
+    x_lo = np.maximum(col, x_min)
+    x_hi = np.minimum(col + 1, x_max)
+    clamped = np.maximum(x_min, np.minimum(col, x_max))
+    x_lo, x_hi = (np.where(x_hi < x_lo, clamped, x_lo),
+                  np.where(x_hi < x_lo, clamped, x_hi))
+    # Endpoint heights verbatim where the clamp lands on an endpoint:
+    # re-interpolating them on steep segments loses a few ulps, enough
+    # to flip a pixel at a .5 rounding boundary.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (y1 - y0) / (x1 - x0)
+        y_a = np.where(x_lo == x0, y0, np.where(
+            x_lo == x1, y1, y0 + slope * (x_lo - x0)))
+        y_b = np.where(x_hi == x1, y1, np.where(
+            x_hi == x0, y0, y0 + slope * (x_hi - x0)))
+    # int() truncates toward zero; the run is cut to the grid's rows.
+    lo = np.clip(np.trunc(np.minimum(y_a, y_b) + 0.5), 0, grid.height)
+    hi = np.clip(np.trunc(np.maximum(y_a, y_b) + 0.5), -1, grid.height - 1)
+    keep = lo <= hi
+    col = col[keep]
+    return (lo[keep].astype(np.int64) * grid.width + col,
+            (hi[keep].astype(np.int64) + 1) * grid.width + col)
 
 
 def rasterize_bresenham(series, grid):

@@ -114,16 +114,32 @@ class TestFoldMembers:
                           [30, 55, 21], [12, 51, 39]], dtype=np.int64)
         values = np.array([[1.0, 5.0, 2.0], [3.0, 6.0, 4.0],
                            [-2.0, 5.0, -2.0], [9.0, 6.0, 9.0]])
-        spans, t, v = fold_members(span, times, values)
+        version = np.array([1, 2, 3], dtype=np.int64)
+        spans, rows, t, v = fold_members(span, times, values, version)
         assert spans.tolist() == [0, 2]
         assert t[:, 0].tolist() == [10, 41, 21, 12]
         assert v[:, 0].tolist() == [1.0, 4.0, -2.0, 9.0]
         assert t[:, 1].tolist() == [50, 60, 55, 51]
+        assert rows.tolist() == [[0, 1], [2, 1], [2, 1], [0, 1]]
+
+    def test_time_ties_go_to_the_newest_member(self):
+        # Both members of span 0 start at 10 and hold their bottom at
+        # 20: the newer (row 1) is the candidate for FP and BP.
+        span = np.zeros(2, dtype=np.int64)
+        times = np.array([[10, 10], [30, 25], [20, 20], [15, 16]],
+                         dtype=np.int64)
+        values = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [5.0, 3.0]])
+        version = np.array([4, 7], dtype=np.int64)
+        _spans, rows, t, v = fold_members(span, times, values, version)
+        assert rows[:, 0].tolist() == [1, 0, 1, 0]
+        assert v[:, 0].tolist() == [2.0, 1.0, 0.0, 5.0]
 
     @pytest.mark.parametrize("rows", [0, 1])
     def test_small_inputs(self, rows):
         span = np.zeros(rows, dtype=np.int64)
         times = np.ones((4, rows), dtype=np.int64)
         values = np.ones((4, rows))
-        spans, t, v = fold_members(span, times, values)
+        version = np.zeros(rows, dtype=np.int64)
+        spans, picks, t, v = fold_members(span, times, values, version)
         assert spans.size == rows and t.shape == (4, rows)
+        assert picks.shape == (4, rows)

@@ -1,5 +1,7 @@
 """Unit tests for :class:`repro.ingest.IngestController`."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,45 @@ class TestSubmitAndApply:
     def test_malformed_arrays_raise(self, controller, t, v):
         with pytest.raises(ValueError):
             controller.submit("s", t, v)
+
+
+class TestReadsDuringApply:
+    def test_reader_waits_for_the_flush_instead_of_failing(self, engine):
+        # Park the writer between write_batch and flush: a reader of the
+        # series must block on the series lock, then see the points.
+        parked, release = threading.Event(), threading.Event()
+        flush = engine.flush
+
+        def parked_flush(series):
+            parked.set()
+            release.wait(5.0)
+            flush(series)
+
+        engine.flush = parked_flush
+        ctl = IngestController(engine)
+        outcome = {}
+
+        def read():
+            try:
+                outcome["points"] = sum(c.n_points
+                                        for c in engine.chunks_for("s"))
+            except Exception as exc:  # noqa: BLE001 - the failure asserted
+                outcome["error"] = exc
+
+        try:
+            ctl.submit("s", *_batch(0, 40))
+            assert parked.wait(5.0)
+            reader = threading.Thread(target=read)
+            reader.start()
+            reader.join(0.2)
+            assert reader.is_alive(), outcome
+            release.set()
+            reader.join(5.0)
+            assert not reader.is_alive()
+            assert outcome == {"points": 40}
+        finally:
+            release.set()
+            ctl.close()
 
 
 class TestBackpressure:

@@ -68,10 +68,32 @@ class TestBitPacking:
         out = unpack_uint64(packed, values.size, width)
         np.testing.assert_array_equal(out, values)
 
+    @pytest.mark.parametrize("width", range(1, 65))
+    @pytest.mark.parametrize("count", [1, 9, 64])
+    def test_unpack_matches_per_bit_loop(self, width, count):
+        # Any bytes, including set top bits and trailing payload bytes.
+        rng = np.random.default_rng(width * 100 + count)
+        data = rng.integers(0, 256, -(-count * width // 8) + 3,
+                            dtype=np.uint8).tobytes()
+        out = unpack_uint64(data, count, width)
+        assert out.dtype == np.uint64
+        np.testing.assert_array_equal(out, _unpack_per_bit(data, count,
+                                                           width))
+
     def test_truncated_payload_raises(self):
         packed = pack_uint64(np.arange(10, dtype=np.uint64), 8)
         with pytest.raises(EncodingError):
             unpack_uint64(packed[:4], 10, 8)
+
+
+def _unpack_per_bit(data, count, width):
+    """Reference unpacking: one shift-or pass per bit column."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
+                         count=count * width).reshape(count, width)
+    out = np.zeros(count, dtype=np.uint64)
+    for column in range(width):
+        out = (out << np.uint64(1)) | bits[:, column].astype(np.uint64)
+    return out
 
 
 class TestTs2Diff:

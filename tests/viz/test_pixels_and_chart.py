@@ -110,6 +110,22 @@ class TestPbm:
         assert content[1:3] == ["2", "2"]
 
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (100, 50), (2, 1),
+                                       (0, 0), (0, 4), (3, 0)])
+    def test_matches_joined_text(self, shape):
+        matrix = np.random.default_rng(sum(shape)).random(shape) < 0.4
+        assert to_pbm(matrix) == _joined_pbm(matrix)
+
+
+def _joined_pbm(matrix):
+    """Reference P1 serialisation: one string join per row."""
+    m = np.asarray(matrix, dtype=bool)[::-1]
+    header = "P1\n%d %d\n" % (m.shape[1], m.shape[0])
+    body = "\n".join(" ".join("1" if cell else "0" for cell in row)
+                     for row in m)
+    return header + body + "\n"
+
+
 class TestDiffOverlay:
     def test_marks_all_four_states(self, matrices):
         ref, cand = matrices
