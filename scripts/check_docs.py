@@ -1,6 +1,6 @@
 """Documentation health checks, run in CI and by tests/test_docs.py.
 
-Two checks, both cheap and dependency-free:
+Three checks, all cheap and dependency-free:
 
 1. **Markdown link check** — every relative link in the repo's
    markdown files must point at a file (or directory) that exists.
@@ -9,6 +9,10 @@ Two checks, both cheap and dependency-free:
 2. **pydoc smoke** — the public modules must import and render a help
    page, so a broken docstring (or a module broken at import time)
    fails the docs job, not a user's first `help(...)` call.
+3. **Dotted-name check** — every backticked ``repro.…`` name in the
+   reference docs must resolve to a module or attribute, so a deleted
+   or renamed module cannot linger in them.  ROADMAP.md and CHANGES.md
+   record history, so they are not checked.
 
 Usage::
 
@@ -20,6 +24,8 @@ otherwise.
 
 from __future__ import annotations
 
+import glob
+import importlib
 import os
 import re
 import sys
@@ -35,6 +41,9 @@ MARKDOWN_FILES = (
     "docs/ARCHITECTURE.md",
     "docs/OPERATIONS.md",
 )
+
+# Docs that describe the code as it is now (history files excluded).
+REFERENCE_FILES = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 # Modules whose help() page must render: the public API surface.
 PYDOC_MODULES = (
@@ -86,6 +95,46 @@ def check_links(root=ROOT, files=MARKDOWN_FILES):
     return problems
 
 
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+
+def check_dotted_names(root=ROOT, files=None):
+    """Return a list of "file: name" strings for backticked ``repro.…``
+    names that resolve to no module or attribute."""
+    if files is None:
+        files = REFERENCE_FILES + tuple(sorted(
+            os.path.relpath(path, root)
+            for path in glob.glob(os.path.join(root, "docs", "*.md"))))
+    problems = []
+    for rel in files:
+        with open(os.path.join(root, rel), "r", encoding="utf-8") as f:
+            spans = _CODE_SPAN.findall(f.read())
+        names = sorted({name for span in spans
+                        for name in _DOTTED.findall(span)})
+        for name in names:
+            if not _resolves(name):
+                problems.append("%s: `%s` does not resolve" % (rel, name))
+    return problems
+
+
+def _resolves(name):
+    """True when ``name`` is a module, or an attribute path under the
+    longest importable module prefix."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
 def check_pydoc(modules=PYDOC_MODULES):
     """Return a list of "module: error" strings for unrenderable docs."""
     import pydoc
@@ -103,7 +152,7 @@ def check_pydoc(modules=PYDOC_MODULES):
 
 
 def main():
-    problems = check_links() + check_pydoc()
+    problems = check_links() + check_pydoc() + check_dotted_names()
     for problem in problems:
         print("docs check: %s" % problem, file=sys.stderr)
     if not problems:

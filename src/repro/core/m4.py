@@ -52,7 +52,7 @@ def segment_m4(t, v, starts):
     segment's first and last rows; BP/TP break value ties on the
     earliest time, exactly like ``argmin``/``argmax``.
     """
-    rows = np.stack((starts, np.append(starts[1:], t.size) - 1,
+    rows = np.stack((starts, np.append(starts, t.size)[1:] - 1,
                      first_extreme(v, starts, np.minimum),
                      first_extreme(v, starts, np.maximum)))
     return t[rows], v[rows]

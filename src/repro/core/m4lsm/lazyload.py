@@ -253,17 +253,50 @@ def verify_fold(members, spans, rows, times, real_deletes):
     settled[col[overwritten.any(axis=0)]] = False
 
     whole = rows >= first_whole
-    cand, t, at = rows[whole], times[whole], np.nonzero(whole)[1]
-    deletes = real_deletes.overlapping(int(t.min()), int(t.max())) \
-        if cand.size else None
-    if deletes:
-        d_start, d_end, d_version = np.array(
-            [(d.t_start, d.t_end, d.version) for d in deletes],
-            dtype=np.int64).T
-        deleted = ((d_version > version[cand][:, None])
-                   & (d_start <= t[:, None]) & (t[:, None] <= d_end))
-        settled[at[deleted.any(axis=1)]] = False
+    t = times[whole]
+    deleted = _newer_delete_meets(real_deletes, version[rows[whole]], t, t)
+    settled[np.nonzero(whole)[1][deleted]] = False
     return settled
+
+
+def contested_whole(members, real_deletes):
+    """Mask over the member rows of the whole chunks whose statistics may
+    disagree with their surviving points: those whose ``[FP.t, LP.t]``
+    meets another member's or a newer real delete.
+
+    Every member's interval lies inside its span and spans are disjoint,
+    so one sort of all the intervals pairs each row only with its own
+    span's.  In start order a row meets another exactly when it starts
+    at or before the latest end seen so far or ends at or after the next
+    start, which also catches a pair separated by a short interval.
+    """
+    start, end = members.times[0], members.times[1]
+    order = np.argsort(start, kind="stable")
+    start_order, end_order = start[order], end[order]
+    meets = np.zeros(start.size, dtype=bool)
+    meets[1:] = start_order[1:] <= np.maximum.accumulate(end_order)[:-1]
+    meets[:-1] |= end_order[:-1] >= start_order[1:]
+    contested = np.zeros(start.size, dtype=bool)
+    contested[order] = meets
+    whole = members.n_fragments
+    contested[:whole] = False
+    contested[whole:] |= _newer_delete_meets(
+        real_deletes, members.version[whole:], start[whole:], end[whole:])
+    return contested
+
+
+def _newer_delete_meets(real_deletes, version, lo, hi):
+    """Mask of the rows whose closed interval ``[lo, hi]`` meets a real
+    delete newer than the row's ``version``."""
+    deletes = real_deletes.overlapping(int(lo.min()), int(hi.max())) \
+        if lo.size else None
+    if not deletes:
+        return np.zeros(lo.size, dtype=bool)
+    d_start, d_end, d_version = np.array(
+        [(d.t_start, d.t_end, d.version) for d in deletes],
+        dtype=np.int64).T
+    return ((d_version > version[:, None]) & (d_start <= hi[:, None])
+            & (lo[:, None] <= d_end)).any(axis=1)
 
 
 def _heads(span, *keys):

@@ -1,16 +1,17 @@
 """The M4-LSM operator (Section 3, Algorithm 1): chunk-merge-free M4.
 
-A query runs in three steps.  *Read metadata*: the chunks overlapping the
-range and the series' deletes.  *Sweep*: a chunk wholly inside one span
-enters it with its stored statistics; every chunk that a span bound (or
-the range itself) splits is opened exactly once, delete-filtered,
-stripped of the timestamps newer split chunks rewrite, cut at all the
-span bounds it reaches, and enters each of those spans as a fragment
-with exact statistics of its own — Definition 2.4 applied to fragments,
-so a split chunk generates candidates like a whole one instead of
-failing verification against the span's virtual deletes once per span.
-*Solve*: Algorithm 1's first round runs for all spans at once, in
-arrays — one fold generates the candidates (Section 3.2,
+A query runs in three steps; the first two are :func:`read_members`,
+which the GROUP BY aggregates share.  *Read metadata*: the chunks
+overlapping the range and the series' deletes.  *Sweep*: a chunk wholly
+inside one span enters it with its stored statistics; every chunk that a
+span bound (or the range itself) splits is opened exactly once,
+delete-filtered, stripped of the timestamps newer split chunks rewrite,
+cut at all the span bounds it reaches, and enters each of those spans as
+a fragment with exact statistics of its own — Definition 2.4 applied to
+fragments, so a split chunk generates candidates like a whole one
+instead of failing verification against the span's virtual deletes once
+per span.  *Solve*: Algorithm 1's first round runs for all spans at
+once, in arrays — one fold generates the candidates (Section 3.2,
 :func:`~.lazyload.fold_members`), one pass verifies them (Sections
 3.3/3.4, :func:`~.lazyload.verify_fold`) — and only spans with a failing
 candidate go to :class:`SpanSolver`, which iterates both steps, lazily
@@ -201,6 +202,32 @@ class SpanSolver:
         raise StorageError("BP/TP solve did not converge")
 
 
+def read_members(engine, series, bounds, degraded, skipped):
+    """The preamble of every M4-LSM read: the chunks overlapping
+    ``[bounds[0], bounds[-1])`` and the series' deletes (traced as
+    ``read.metadata``), less the quarantined chunks in degraded mode,
+    swept into the spans (traced as ``sweep``).
+
+    Returns ``(chunks, members, real_deletes, data_reader)``; a damaged
+    chunk a degraded read leaves out adds its range to ``skipped``.
+    """
+    tracer = tracer_of(engine)
+    with tracer.span("read.metadata"):
+        chunks = engine.metadata_reader(series).chunks_overlapping(
+            int(bounds[0]), int(bounds[-1]))
+        real_deletes = engine.deletes_for(series)
+    if degraded:
+        chunks = drop_quarantined(engine, chunks, skipped)
+    data_reader = engine.data_reader()
+    with tracer.span("sweep") as sweep_span:
+        members = sweep_spans(
+            chunks, bounds, real_deletes, data_reader,
+            partial(quarantine_chunk, engine, skipped) if degraded else None)
+        sweep_span.attrs["chunks"] = members.n_swept
+        sweep_span.attrs["fragments"] = members.n_fragments
+    return chunks, members, real_deletes, data_reader
+
+
 class M4LSMOperator:
     """The database-native, merge-free M4 operator (Figure 2(c)).
 
@@ -273,24 +300,11 @@ class M4LSMOperator:
         degraded = degraded_mode(self._engine, self._degraded)
         skipped = []   # (start, end) per damaged chunk left out
         with tracer.span("operator.m4lsm", series=series_name, w=w):
-            with tracer.span("read.metadata"):
-                metadata_reader = self._engine.metadata_reader(series_name)
-                chunks = metadata_reader.chunks_overlapping(t_qs, t_qe)
-                real_deletes = self._engine.deletes_for(series_name)
-            if degraded:
-                chunks = drop_quarantined(self._engine, chunks, skipped)
-            data_reader = self._engine.data_reader()
             stats = self._engine.stats
-
             bounds = all_span_bounds(t_qs, t_qe, w)
             before = stats.snapshot() if collect_trace else None
-            with tracer.span("sweep") as sweep_span:
-                members = sweep_spans(
-                    chunks, bounds, real_deletes, data_reader,
-                    partial(quarantine_chunk, self._engine, skipped)
-                    if degraded else None)
-                sweep_span.attrs["chunks"] = members.n_swept
-                sweep_span.attrs["fragments"] = members.n_fragments
+            chunks, members, real_deletes, data_reader = read_members(
+                self._engine, series_name, bounds, degraded, skipped)
             swept = stats.diff(before) if collect_trace else None
 
             occupied = np.zeros(w, dtype=bool)

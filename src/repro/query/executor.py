@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from ..core.aggregation import aggregate_lsm, aggregate_udf
 from ..core.m4 import M4UDFOperator
 from ..core.m4lsm import M4LSMOperator
 from ..core.tiles import m4_operator
@@ -29,6 +30,16 @@ _FIELD_NAMES = {
 }
 #: Row of each function in ``M4Result.times`` / ``M4Result.values``.
 _FUNCTION_ROW = {"FP": 0, "LP": 1, "BP": 2, "TP": 3}
+_RAW_NAMES = {"t": "time", "v": "value"}
+
+
+def result_columns(parsed):
+    """The column names of ``parsed``'s :class:`ResultTable`."""
+    if parsed.kind == "m4":
+        return ("span",) + tuple(_FIELD_NAMES[c] for c in parsed.columns)
+    if parsed.kind == "agg":
+        return ("span",) + tuple(name.upper() for name in parsed.columns)
+    return tuple(_RAW_NAMES[c] for c in parsed.columns)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,12 +128,10 @@ class Executor:
         started = time.perf_counter()
         with tracer.span("query", kind=parsed.kind,
                          operator=parsed.operator, series=parsed.series):
-            if parsed.kind == "m4":
-                table = self._execute_m4(parsed)
-            elif parsed.kind == "agg":
-                table = self._execute_agg(parsed)
-            else:
+            if parsed.kind == "raw":
                 table = self._execute_raw(parsed)
+            else:
+                table = self._execute_spans(parsed)
         self._observe(parsed, statement, time.perf_counter() - started,
                       slow_info=slow_info)
         return table
@@ -183,38 +192,36 @@ class Executor:
             operator = M4LSMOperator(self._engine, degraded=self._degraded)
             result, trace = operator.query_traced(
                 parsed.series, t_qs, t_qe, parsed.w)
-            table = self._m4_table(parsed, result)
+            table = self._span_table(parsed, result)
         self._observe(parsed, statement, time.perf_counter() - started)
         return table, trace
 
-    def _execute_m4(self, parsed):
+    def _execute_spans(self, parsed):
         t_qs, t_qe = self._resolve_range(parsed)
-        operator = self._operator(parsed.operator)
-        result = operator.query(parsed.series, t_qs, t_qe, parsed.w)
-        return self._m4_table(parsed, result)
+        if parsed.kind == "agg":
+            runner = aggregate_udf if parsed.operator == "m4udf" \
+                else aggregate_lsm
+            result = runner(self._engine, parsed.series, t_qs, t_qe,
+                            parsed.w, parsed.columns, degraded=self._degraded)
+        else:
+            result = self._operator(parsed.operator).query(
+                parsed.series, t_qs, t_qe, parsed.w)
+        return self._span_table(parsed, result)
 
-    def _m4_table(self, parsed, result):
-        columns = ["span"] + [_FIELD_NAMES[c] for c in parsed.columns]
+    def _span_table(self, parsed, result):
+        """One row per non-empty span of an :class:`M4Result` (or its
+        :class:`AggregateResult` subclass), read from its columns."""
         index = np.flatnonzero(result.occupied)
         cells = [index.tolist()]
-        for function, field in parsed.columns:
-            array = result.times if field == "t" else result.values
-            cells.append(array[_FUNCTION_ROW[function], index].tolist())
-        return ResultTable(tuple(columns), tuple(zip(*cells)),
-                           _degraded_meta(result.skipped))
-
-    def _execute_agg(self, parsed):
-        from ..core.aggregation import aggregate_lsm, aggregate_udf
-        t_qs, t_qe = self._resolve_range(parsed)
-        runner = aggregate_udf if parsed.operator == "m4udf" \
-            else aggregate_lsm
-        result = runner(self._engine, parsed.series, t_qs, t_qe,
-                        parsed.w, parsed.columns, degraded=self._degraded)
-        columns = ["span"] + [name.upper() for name in parsed.columns]
-        rows = []
-        for i in result.non_empty():
-            rows.append((i,) + result.rows[i])
-        return ResultTable(tuple(columns), tuple(rows),
+        for column in parsed.columns:
+            if parsed.kind == "agg":
+                array = result.array(column)
+            else:
+                function, field = column
+                array = (result.times if field == "t"
+                         else result.values)[_FUNCTION_ROW[function]]
+            cells.append(array[index].tolist())
+        return ResultTable(result_columns(parsed), tuple(zip(*cells)),
                            _degraded_meta(result.skipped))
 
     def _execute_raw(self, parsed):
@@ -223,8 +230,6 @@ class Executor:
         skipped = []
         series = operator.merged_series(parsed.series, t_qs, t_qe,
                                         skipped=skipped)
-        names = {"t": "time", "v": "value"}
-        columns = tuple(names[c] for c in parsed.columns)
         t = series.timestamps
         v = series.values
         data = {"t": t, "v": v}
@@ -233,4 +238,5 @@ class Executor:
                            else float(col[i])
                            for j, col in enumerate(stacked))
                      for i in range(t.size))
-        return ResultTable(columns, rows, _degraded_meta(skipped))
+        return ResultTable(result_columns(parsed), rows,
+                           _degraded_meta(skipped))

@@ -56,9 +56,11 @@ _SPAN_AGGREGATES = frozenset((
 class ParsedQuery:
     """Structured form of a statement.
 
-    ``kind`` is ``"m4"`` (aggregating) or ``"raw"`` (plain scan).
-    ``columns`` lists output columns; for m4 queries each is an
-    ``(function, field)`` pair in SELECT order.
+    ``kind`` is ``"m4"`` (M4 representation points), ``"agg"``
+    (GROUP BY span aggregates such as ``COUNT``) or ``"raw"`` (plain
+    scan).  ``columns`` lists output columns; for m4 queries each is an
+    ``(function, field)`` pair in SELECT order, for agg queries a
+    lower-case aggregate name.
     """
 
     kind: str

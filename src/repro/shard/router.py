@@ -572,17 +572,8 @@ def _shard_down_table(parsed, exc):
     clients render an empty (not malformed) frame; ``meta`` carries the
     degraded flag, an operator-readable warning and the dead shard id.
     """
-    from ..query.executor import _FIELD_NAMES, ResultTable
-    if parsed.kind == "m4":
-        columns = tuple(["span"] + [_FIELD_NAMES[c]
-                                    for c in parsed.columns])
-    elif parsed.kind == "agg":
-        columns = tuple(["span"] + [name.upper()
-                                    for name in parsed.columns])
-    else:
-        names = {"t": "time", "v": "value"}
-        columns = tuple(names[c] for c in parsed.columns)
+    from ..query.executor import ResultTable, result_columns
     meta = {"degraded": True, "skipped_ranges": [],
             "shard_down": exc.shard,
             "warning": "degraded result: %s" % exc}
-    return ResultTable(columns, (), meta)
+    return ResultTable(result_columns(parsed), (), meta)

@@ -95,22 +95,6 @@ class Statistics:
         """True if the chunk's interval is contained in ``[t_start, t_end)``."""
         return t_start <= self.start_time and self.end_time < t_end
 
-    # -- merge ------------------------------------------------------------------
-
-    def merge(self, other):
-        """Statistics of the union of two disjoint point sets.
-
-        Used by the TsFile writer to roll page statistics up into chunk
-        statistics, and by the GROUP BY fold of span members.  Bottom/top
-        tie-break on earliest time for determinism.
-        """
-        first = self.first if self.first.t <= other.first.t else other.first
-        last = self.last if self.last.t >= other.last.t else other.last
-        bottom = _pick(self.bottom, other.bottom, prefer_low_value=True)
-        top = _pick(self.top, other.top, prefer_low_value=False)
-        return Statistics(self.count + other.count, first, last, bottom,
-                          top, self.value_sum + other.value_sum)
-
     # -- serialization ----------------------------------------------------------
 
     SERIALIZED_SIZE = _PACK.size
@@ -136,11 +120,3 @@ class Statistics:
         return cls(count, Point(ft, fv), Point(lt, lv), Point(bt, bv),
                    Point(tt, tv), value_sum)
 
-
-def _pick(a, b, prefer_low_value):
-    """Pick the extreme of two points by value, earliest time on ties."""
-    if a.v == b.v:
-        return a if a.t <= b.t else b
-    if prefer_low_value:
-        return a if a.v < b.v else b
-    return a if a.v > b.v else b

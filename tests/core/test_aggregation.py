@@ -8,7 +8,11 @@ from repro.core.aggregation import (
     aggregate_lsm,
     aggregate_udf,
 )
+from repro.core.m4lsm.lazyload import contested_whole
+from repro.core.m4lsm.operator import read_members
+from repro.core.spans import all_span_bounds
 from repro.errors import QueryError
+from repro.storage import StorageEngine
 
 
 def brute_force(t, v, t_qs, t_qe, w, function):
@@ -56,7 +60,8 @@ class TestAgainstBruteForce:
         result = aggregate_lsm(engine, "s", t_qs, t_qe, 4,
                                ("count", "avg", "max_value"))
         assert sum(result.column("count")) == t.size
-        assert len(result.rows[0]) == 3
+        assert all(result.column(f)[0] is not None
+                   for f in ("count", "avg", "max_value"))
 
 
 class TestLsmEqualsUdf:
@@ -116,6 +121,93 @@ class TestLsmEqualsUdf:
         aggregate_udf(engine, "s", int(t[0]), int(t[-1]) + 1, 2,
                       ("count",))
         assert engine.stats.diff(before).chunk_loads == 10
+
+
+def contested_chunks(engine, ops):
+    """Write ``ops`` — ``(start, end)`` two-point chunks and ``("delete",
+    start, end)`` deletes, in order — then return the write-order indices
+    of the chunks :func:`contested_whole` marks.  The query has ``w = 1``
+    and covers every chunk, so every chunk is a whole member."""
+    engine.create_series("s")
+    for op in ops:
+        if op[0] == "delete":
+            engine.delete("s", op[1], op[2])
+        else:
+            t = np.unique(np.array(op, dtype=np.int64))
+            engine.write_batch("s", t, np.zeros(t.size))
+            engine.flush("s")
+    _chunks, members, deletes, _reader = read_members(
+        engine, "s", all_span_bounds(0, 1000, 1), False, [])
+    assert members.n_fragments == 0
+    order = sorted(members.version.tolist())
+    marked = members.version[contested_whole(members, deletes)]
+    return sorted(order.index(v) for v in marked.tolist())
+
+
+def pairwise_contested(ops):
+    """The quadratic reference of :func:`contested_chunks`."""
+    chunks = [(i, op) for i, op in enumerate(ops) if op[0] != "delete"]
+    index = {i: k for k, (i, _op) in enumerate(chunks)}
+    contested = set()
+    for i, (lo, hi) in chunks:
+        for j, (lo2, hi2) in chunks:
+            if i != j and lo <= hi2 and lo2 <= hi:
+                contested.add(index[i])
+        if any(op[0] == "delete" and j > i and op[1] <= hi and lo <= op[2]
+               for j, op in enumerate(ops)):
+            contested.add(index[i])
+    return sorted(contested)
+
+
+class TestContestedWhole:
+    @pytest.mark.parametrize("ops, expected", [
+        pytest.param([(0, 9), (10, 19), (20, 29)], [], id="disjoint"),
+        pytest.param([(0, 10), (10, 20)], [0, 1], id="touching_endpoints"),
+        pytest.param([(40, 60), (0, 100)], [0, 1], id="nested"),
+        # Chunk 0 meets chunk 2, but chunk 1 sorts between them.
+        pytest.param([(0, 100), (5, 8), (10, 50)], [0, 1, 2],
+                     id="pair_separated_in_start_order"),
+        pytest.param([(0, 10), (5, 50), (40, 60), (70, 80)], [0, 1, 2],
+                     id="three_chain_with_escaping_tail"),
+        pytest.param([(0, 10), ("delete", 5, 25), (20, 30)], [0],
+                     id="newer_delete_contests_older_chunk_only"),
+        pytest.param([(0, 10), ("delete", 50, 60)], [],
+                     id="delete_outside_all_chunks"),
+        pytest.param([], [], id="empty"),
+        pytest.param([(0, 10)], [], id="single_chunk"),
+    ])
+    def test_contested_whole(self, engine, ops, expected):
+        assert contested_chunks(engine, ops) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_pairwise_reference(self, tmp_path, small_config,
+                                        seed):
+        rng = np.random.default_rng(seed)
+        ops = []
+        for _ in range(int(rng.integers(2, 10))):
+            start = int(rng.integers(0, 100))
+            end = start + int(rng.integers(0, 30))
+            ops.append(("delete", start, end) if rng.random() < 0.2
+                       else (start, end))
+        with StorageEngine(tmp_path / "db", small_config) as engine:
+            assert contested_chunks(engine, ops) == pairwise_contested(ops)
+
+    def test_uncontested_neighbour_is_never_loaded(self, engine):
+        """Chunk 0 is contested by a newer delete; chunk 1 shares its
+        span but meets nothing, so only chunk 0 is loaded."""
+        engine.create_series("s")
+        for t in ((0, 4, 10), (50, 55, 60)):
+            engine.write_batch("s", np.array(t, dtype=np.int64),
+                               np.array([1.0, -2.0, 3.0]))
+            engine.flush("s")
+        engine.delete("s", 3, 5)
+        before = engine.stats.snapshot()
+        got = aggregate_lsm(engine, "s", 0, 100, 1, AGGREGATE_NAMES)
+        assert engine.stats.diff(before).chunk_loads == 1
+        want = aggregate_udf(engine, "s", 0, 100, 1, AGGREGATE_NAMES)
+        for function in AGGREGATE_NAMES:
+            assert got.column(function) == want.column(function)
+        assert got.column("count") == [5]
 
 
 class TestValidation:

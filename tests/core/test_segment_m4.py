@@ -122,6 +122,23 @@ class TestFoldMembers:
         assert t[:, 1].tolist() == [50, 60, 55, 51]
         assert rows.tolist() == [[0, 1], [2, 1], [2, 1], [0, 1]]
 
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], [1, 2, 0],
+                                       [2, 1, 0]])
+    def test_row_order_does_not_change_the_fold(self, order):
+        # Two members of span 0 with a BP value tie at different times.
+        span = np.array([0, 0, 1], dtype=np.int64)
+        times = np.array([[10, 5, 50], [40, 45, 60],
+                          [20, 30, 55], [12, 44, 51]], dtype=np.int64)
+        values = np.array([[1.0, 0.0, 5.0], [3.0, 3.0, 6.0],
+                           [-2.0, -2.0, 5.0], [9.0, 3.0, 6.0]])
+        version = np.array([1, 2, 3], dtype=np.int64)
+        spans, _rows, t, v = fold_members(
+            span[order], times[:, order], values[:, order], version[order])
+        assert spans.tolist() == [0, 1]
+        assert t.tolist() == [[5, 50], [45, 60], [20, 55], [12, 51]]
+        assert v.tolist() == [[0.0, 5.0], [3.0, 6.0], [-2.0, 5.0],
+                              [9.0, 6.0]]
+
     def test_time_ties_go_to_the_newest_member(self):
         # Both members of span 0 start at 10 and hold their bottom at
         # 20: the newer (row 1) is the candidate for FP and BP.

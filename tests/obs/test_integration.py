@@ -64,6 +64,19 @@ class TestSpanTree:
         assert root.counters.get("metadata_reads", 0) \
             >= metadata.counters["metadata_reads"]
 
+    def test_group_by_aggregate_reads_through_the_m4lsm_preamble(
+            self, loaded_engine):
+        engine, _t, _v = loaded_engine
+        Executor(engine).execute(parse_sql(
+            "SELECT COUNT(s), AVG(s) FROM s GROUP BY SPANS(7)"))
+        root = engine.tracer.last_root
+        assert root.name == "query" and root.attrs["kind"] == "agg"
+        metadata = root.find("read.metadata")
+        assert metadata is not None
+        assert metadata.counters.get("metadata_reads", 0) > 0
+        sweep = root.find("sweep")
+        assert sweep is not None and sweep.attrs["chunks"] > 0
+
     def test_m4udf_query_produces_scan_and_merge_spans(
             self, loaded_engine):
         engine, _t, _v = loaded_engine

@@ -16,23 +16,46 @@ def lsm_workload(draw):
     n = draw(st.integers(2, min(60, domain // 2)))
     times = sorted(draw(st.lists(st.integers(0, domain - 1), min_size=n,
                                  max_size=n, unique=True)))
-    values = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    # A narrow value range ties extremes across chunks.
+    high = draw(st.sampled_from([1, 9]))
+    values = draw(st.lists(st.integers(-high, high), min_size=n, max_size=n))
     batches = draw(st.integers(1, 3))
     delete = draw(st.one_of(
         st.none(),
         st.tuples(st.integers(0, domain - 1), st.integers(0, 60))))
     overwrite = draw(st.integers(0, n - 1))
-    w = draw(st.sampled_from([1, 3, 11]))
-    chunk = draw(st.sampled_from([7, 25]))
+    # Edits aimed at one existing chunk's FP/LP/BP/TP point after a
+    # batch: a rewrite of that timestamp, or a delete from it on, which
+    # is older than the chunks of any later batch.
+    edits = draw(st.lists(st.tuples(
+        st.sampled_from(["rewrite", "delete"]), st.integers(0, 99),
+        st.integers(0, 3), st.integers(-high, high),
+        st.integers(0, batches - 1)), max_size=3))
+    # Few spans over small chunks: whole chunks overlap inside one span.
+    w = draw(st.sampled_from([1, 2, 3, 11]))
+    chunk = draw(st.sampled_from([3, 7, 25]))
     return (np.array(times, dtype=np.int64),
             np.array(values, dtype=np.float64),
-            batches, delete, overwrite, w, chunk, domain)
+            batches, delete, overwrite, edits, w, chunk, domain)
+
+
+def _apply_edits(engine, edits):
+    for kind, pick, which, number, _after in edits:
+        chunks = engine.chunks_for("s")
+        stats = chunks[pick % len(chunks)].statistics
+        point = (stats.first, stats.last, stats.bottom, stats.top)[which]
+        if kind == "rewrite":
+            engine.write_batch("s", np.array([point.t]),
+                               np.array([float(number)]))
+            engine.flush("s")
+        else:
+            engine.delete("s", point.t, point.t + abs(number))
 
 
 @given(lsm_workload())
 @settings(max_examples=40, deadline=None)
 def test_lsm_aggregation_equals_udf(tmp_path_factory, workload):
-    t, v, batches, delete, overwrite, w, chunk, domain = workload
+    t, v, batches, delete, overwrite, edits, w, chunk, domain = workload
     tmp = tmp_path_factory.mktemp("agg")
     config = StorageConfig(avg_series_point_number_threshold=chunk,
                            points_per_page=max(chunk // 2, 1))
@@ -40,11 +63,14 @@ def test_lsm_aggregation_equals_udf(tmp_path_factory, workload):
     try:
         engine.create_series("s")
         rng = np.random.default_rng(0)
-        for part in np.array_split(rng.permutation(t.size), batches):
+        for batch, part in enumerate(
+                np.array_split(rng.permutation(t.size), batches)):
             part = np.sort(part)
             if part.size:
                 engine.write_batch("s", t[part], v[part])
                 engine.flush("s")
+            if engine.chunks_for("s"):
+                _apply_edits(engine, [e for e in edits if e[4] == batch])
         if delete is not None:
             engine.delete("s", delete[0], delete[0] + delete[1])
         engine.write_batch("s", t[overwrite:overwrite + 1],

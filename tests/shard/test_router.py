@@ -23,6 +23,7 @@ from repro.storage.deadline import Deadline, deadline_scope
 from repro.viz.chart import to_pbm
 
 SQL = "SELECT M4(v) FROM %s GROUP BY SPANS(64)"
+AGG_SQL = "SELECT COUNT(v), AVG(v) FROM %s GROUP BY SPANS(16)"
 
 
 def _series(seed, n=3000):
@@ -107,12 +108,15 @@ class TestCrash:
     def test_dead_shard_degrades_not_hangs(self, router):
         _load(router, NAMES)
         dead = self._kill_owner(router, "root.a")
-        t0 = time.monotonic()
-        table = router.execute_sql(SQL % "root.a")
-        assert time.monotonic() - t0 < 5.0
-        assert len(table.rows) == 0
-        assert table.meta["degraded"] is True
-        assert table.meta["shard_down"] == dead
+        live = next(n for n in NAMES if router.series_shard(n) != dead)
+        for sql in (SQL, AGG_SQL):
+            t0 = time.monotonic()
+            table = router.execute_sql(sql % "root.a")
+            assert time.monotonic() - t0 < 5.0
+            assert len(table.rows) == 0
+            assert table.meta["degraded"] is True
+            assert table.meta["shard_down"] == dead
+            assert table.columns == router.execute_sql(sql % live).columns
 
     def test_strict_read_raises(self, router):
         _load(router, NAMES)

@@ -115,7 +115,7 @@ class TestQueryCancellation:
         from repro.core import aggregation
         aggregate = getattr(aggregation, runner)
         with self._loaded(tmp_path) as engine:
-            assert aggregate(engine, "s", 0, 8000, 20, ("count",)).rows
+            assert aggregate(engine, "s", 0, 8000, 20, ("count",)).rows()
             before = engine.stats.snapshot()
             with deadline_scope(Deadline(-1.0)):
                 with pytest.raises(DeadlineExceededError):

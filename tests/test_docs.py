@@ -1,4 +1,5 @@
-"""The docs stay healthy: links resolve, public modules render help.
+"""The docs stay healthy: links resolve, public modules render help,
+backticked ``repro.…`` names resolve.
 
 Thin wrapper over scripts/check_docs.py so the same checks gate both
 CI's docs job and a plain local pytest run.
@@ -20,3 +21,7 @@ def test_markdown_links_resolve():
 
 def test_public_modules_render_pydoc():
     assert check_docs.check_pydoc() == []
+
+
+def test_dotted_names_resolve():
+    assert check_docs.check_dotted_names() == []
