@@ -1,6 +1,6 @@
 """Documentation health checks, run in CI and by tests/test_docs.py.
 
-Three checks, all cheap and dependency-free:
+Four checks, all cheap and dependency-free:
 
 1. **Markdown link check** — every relative link in the repo's
    markdown files must point at a file (or directory) that exists.
@@ -13,6 +13,10 @@ Three checks, all cheap and dependency-free:
    reference docs must resolve to a module or attribute, so a deleted
    or renamed module cannot linger in them.  ROADMAP.md and CHANGES.md
    record history, so they are not checked.
+4. **Flag-default check** — every numeric Default cell in the
+   ``repro serve`` and ``repro loadgen`` flag tables of
+   docs/OPERATIONS.md (§1.1, §1.2) must equal the default that
+   ``repro.cli.build_parser()`` gives that flag.
 
 Usage::
 
@@ -24,6 +28,7 @@ otherwise.
 
 from __future__ import annotations
 
+import argparse
 import glob
 import importlib
 import os
@@ -135,6 +140,47 @@ def _resolves(name):
     return False
 
 
+# The OPERATIONS.md flag tables checked against the CLI parser:
+# section heading -> subcommand.
+FLAG_TABLES = {"### 1.1 `repro serve`": "serve",
+               "### 1.2 `repro loadgen`": "loadgen"}
+
+_FLAG_ROW = re.compile(r"^\| `(--[\w-]+)[^`]*` \| `?([^|`]*?)`? \|")
+_NUMBER = re.compile(r"^-?\d+(?:\.\d+)?$")
+
+
+def check_flag_defaults(root=ROOT, rel="docs/OPERATIONS.md"):
+    """Return a list of "file: flag" strings for numeric Default cells
+    that disagree with the CLI parser's default for that flag."""
+    from repro.cli import build_parser
+
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    with open(os.path.join(root, rel), "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    problems = []
+    defaults = None
+    for line in lines:
+        if line.startswith("#"):
+            command = FLAG_TABLES.get(line.strip())
+            defaults = None if command is None else {
+                flag: action.default
+                for action in commands.choices[command]._actions
+                for flag in action.option_strings}
+            continue
+        match = _FLAG_ROW.match(line) if defaults is not None else None
+        if match is None or not _NUMBER.match(match.group(2)):
+            continue
+        flag, cell = match.groups()
+        if flag not in defaults:
+            problems.append("%s: %s is not a flag of the parser"
+                            % (rel, flag))
+        elif float(cell) != defaults[flag]:
+            problems.append("%s: %s default is %s, the parser says %r"
+                            % (rel, flag, cell, defaults[flag]))
+    return problems
+
+
 def check_pydoc(modules=PYDOC_MODULES):
     """Return a list of "module: error" strings for unrenderable docs."""
     import pydoc
@@ -152,7 +198,8 @@ def check_pydoc(modules=PYDOC_MODULES):
 
 
 def main():
-    problems = check_links() + check_pydoc() + check_dotted_names()
+    problems = (check_links() + check_pydoc() + check_dotted_names()
+                + check_flag_defaults())
     for problem in problems:
         print("docs check: %s" % problem, file=sys.stderr)
     if not problems:

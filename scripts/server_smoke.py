@@ -5,7 +5,8 @@ serve traffic" check: a tiny store is built through the public engine
 API, a real server boots on an ephemeral port, one closed-loop loadgen
 burst runs against it, and the process exits non-zero unless the burst
 completed requests and the server drained cleanly (parseable
-``obs.json`` included).
+``obs.json`` included), and unless ``obs.json`` counts at least one
+execution-slot wait (``exec_slot_wait_seconds``) per request served.
 
 Usage: PYTHONPATH=src python scripts/server_smoke.py
 """
@@ -56,7 +57,14 @@ def main():
     if "metrics" not in snapshot:
         print("FAIL: obs.json missing metrics section", file=sys.stderr)
         return 1
-    print("OK: %.1f req/s, obs.json intact" % report.throughput)
+    slot = snapshot["metrics"]["histograms"].get("exec_slot_wait_seconds")
+    if slot is None or slot["count"] < report.ok:
+        print("FAIL: exec_slot_wait_seconds counts %s waits for %d "
+              "requests served" % (slot and slot["count"], report.ok),
+              file=sys.stderr)
+        return 1
+    print("OK: %.1f req/s, obs.json intact, %d slot waits"
+          % (report.throughput, slot["count"]))
     return 0
 
 

@@ -9,9 +9,10 @@ that into 503 + ``Retry-After``) — the server's latency under overload
 stays bounded because excess work is refused at the door, never
 buffered without limit.
 
-Workers are plain threads over the engine's PR-2 lock hierarchy: any
-number of them can execute queries concurrently because queries only
-take series read locks.  Each job carries a
+Workers are plain threads over the engine's lock hierarchy: all of them
+run requests at once, and their engine work takes turns in the
+process's execution slot (:data:`repro.storage.locks.EXEC_SLOT`) while
+their parsing, encoding and socket I/O overlap it.  Each job carries a
 :class:`~repro.storage.deadline.Deadline`; a job that expires while
 still queued is failed without touching the engine, and one that
 expires mid-execution is aborted cooperatively at the per-chunk /

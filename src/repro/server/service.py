@@ -29,6 +29,7 @@ import dataclasses
 import itertools
 import json
 import math
+import resource
 import threading
 import time
 
@@ -427,12 +428,17 @@ class QueryService:
         snapshot["ingest"] = self._ingest.stats()
         snapshot["ingest"]["live_subscribers"] = \
             self._live_feed.subscribers
+        usage = resource.getrusage(resource.RUSAGE_SELF)
         snapshot["server"] = {
             "workers": self._admission.workers,
             "queue_depth_limit": self._admission.queue_depth,
             "default_timeout_seconds":
                 self._config.default_timeout_seconds,
             "strict": self._config.strict,
+            "process": {  # process lifetime: never persisted to obs.json
+                "voluntary_context_switches": usage.ru_nvcsw,
+                "involuntary_context_switches": usage.ru_nivcsw,
+                "cpu_seconds": usage.ru_utime + usage.ru_stime},
         }
         quarantine = self._engine.quarantine
         if quarantine is not None:

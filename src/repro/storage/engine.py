@@ -14,15 +14,15 @@ the paper's experiments exercise:
   Table 4 (``NO_COMPACTION``).
 
 The engine is safe for concurrent use from many threads.  The lock
-hierarchy (see DESIGN.md § Concurrency model) is two-level: a
-reader/writer lock per series guards that series' memtable, chunk list
-and delete list; a single engine lock guards cross-series state (the
-catalog, version allocator, active TsFile writer, reader pool).  Series
-locks are always taken before the engine lock, never after, so the two
-levels cannot deadlock.  ``write_batch``/``flush``/``delete``/query
-interleavings are linearizable per series: each takes effect atomically
-at the moment its series write lock (or read lock, for queries) is
-held, and a query sees exactly the chunks of the committed prefix.
+hierarchy (see DESIGN.md § Concurrency model) has three levels: one
+execution slot per process runs the queries one at a time; a
+reader/writer lock per series guards its memtable, chunks and deletes;
+one engine lock guards the catalog, version allocator, active TsFile
+writer and reader pool.  Locks are taken in that order, never the
+reverse, and writers never take the slot: no deadlock.  Writes,
+flushes, deletes and queries are linearizable per series: each takes
+effect atomically while its series write (or, for queries, read) lock
+is held, and a query sees exactly the chunks of the committed prefix.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .config import DEFAULT_CONFIG, TOPOLOGY_FILE
 from .deadline import sleep_checked
 from .deletes import Delete, DeleteList
 from .iostats import IoStats
-from .locks import LockWaitObs, RWLock
+from .locks import EXEC_SLOT, LockWaitObs, RWLock
 from .memtable import MemTable
 from .mods import ModsFile
 from .quarantine import QuarantineRegistry
@@ -824,21 +824,24 @@ class StorageEngine:
         from ..query.sql import parse
         if debug_sleep_s:
             sleep_checked(debug_sleep_s)
-        return Executor(self, degraded=False if strict else None).execute(
-            parse(sql), statement=sql, slow_info=slow_info)
+        with EXEC_SLOT.hold(self._metrics):
+            return Executor(self, degraded=False if strict else None) \
+                .execute(parse(sql), statement=sql, slow_info=slow_info)
 
     def render_series(self, series, width, height, t_qs=None, t_qe=None,
                       strict=False):
         """``(matrix, M4Result)``: M4-reduce ``series`` and rasterize
         (see :func:`repro.query.render.render_chart`)."""
         from ..query.render import render_chart
-        return render_chart(self, series, width, height, t_qs=t_qs,
-                            t_qe=t_qe, degraded=False if strict else None)
+        with EXEC_SLOT.hold(self._metrics):
+            return render_chart(self, series, width, height, t_qs, t_qe,
+                                degraded=False if strict else None)
 
     def delta_spans(self, series, ranges, span):
         """Grid-aligned M4 spans over changed ``ranges`` (``/live``)."""
         from ..query.render import compute_delta_spans
-        return compute_delta_spans(self, series, ranges, span)
+        with EXEC_SLOT.hold(self._metrics):
+            return compute_delta_spans(self, series, ranges, span)
 
     def series_info(self):
         """``(rows, down)``: one dict per series (name, time range,

@@ -1,18 +1,21 @@
 """Lock primitives for the concurrent storage engine.
 
 The engine's lock hierarchy (documented in DESIGN.md § Concurrency
-model) has exactly two levels:
+model) has exactly three levels:
 
-1. a **per-series reader/writer lock** (:class:`RWLock`) guarding one
+1. the process's **execution slot** (:data:`EXEC_SLOT`), held by
+   ``StorageEngine.execute_sql``, ``render_series`` and
+   ``delta_spans``, so query work runs one request at a time;
+2. a **per-series reader/writer lock** (:class:`RWLock`) guarding one
    :class:`~repro.storage.engine.SeriesState` — memtable, sealed chunk
    list and delete list;
-2. an **engine-level lock** guarding cross-series state — the catalog,
+3. an **engine-level lock** guarding cross-series state — the catalog,
    the version allocator, the active TsFile writer and the reader pool.
 
-The ordering rule is *series before engine*: a thread holding a series
-lock may acquire the engine lock (flushing does), but never the
-reverse.  Both levels are reentrant per thread, so ``delete`` can flush
-under its own write lock without deadlocking itself.
+The ordering rule is *slot before series before engine*, never the
+reverse.  Writers never take the slot, so a query in it that waits on
+a series write lock always gets it.  All levels are reentrant per
+thread, so ``delete`` can flush under its own write lock.
 
 :class:`RWLock` is writer-preferring: once a writer is waiting, new
 readers queue behind it, so a stream of M4 queries cannot starve a
@@ -20,7 +23,8 @@ flush.  Writer-preference is exactly where tail latency hides, so the
 lock accepts an optional :class:`LockWaitObs` that times every
 acquisition into ``lock_wait_seconds{series,side}`` histograms and —
 when a request trace is active on the acquiring thread — attaches a
-``lock.wait`` span to it.
+``lock.wait`` span to it; slot waits go to ``exec_slot_wait_seconds``
+and ``exec.slot_wait``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import threading
 import time
 
 from ..obs.tracer import attach_timed
+from .deadline import current_deadline
 
 
 class LockWaitObs:
@@ -184,3 +189,48 @@ class RWLock:
             yield self
         finally:
             self.release_write()
+
+
+class ExecSlot:
+    """The process's reentrant execution slot.
+
+    :meth:`hold` waits no longer than the thread's deadline (expiry
+    raises :class:`~repro.errors.DeadlineExceededError` before any
+    engine work) and times each top-level wait like :class:`LockWaitObs`.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._owner = None
+        self._depth = 0
+
+    @contextlib.contextmanager
+    def hold(self, metrics):
+        if self._owner != threading.get_ident():
+            started = time.perf_counter()
+            deadline = current_deadline()
+            try:
+                if deadline is None:
+                    self._lock.acquire()
+                else:
+                    while not self._lock.acquire(
+                            timeout=max(deadline.remaining(), 0.0)):
+                        deadline.check()
+            finally:
+                ended = time.perf_counter()
+                metrics.histogram("exec_slot_wait_seconds").observe(
+                    ended - started)
+                attach_timed("exec.slot_wait", started, ended)
+            self._owner = threading.get_ident()
+        self._depth += 1
+        try:
+            yield
+        finally:
+            self._depth -= 1
+            if self._depth == 0:
+                self._owner = None
+                self._lock.release()
+
+
+#: One per process: each shard worker has its own, the router none.
+EXEC_SLOT = ExecSlot()

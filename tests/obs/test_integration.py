@@ -77,6 +77,18 @@ class TestSpanTree:
         sweep = root.find("sweep")
         assert sweep is not None and sweep.attrs["chunks"] > 0
 
+    def test_query_waits_once_for_the_execution_slot(self, loaded_engine):
+        engine, _t, _v = loaded_engine
+        waits = engine.metrics.histogram("exec_slot_wait_seconds")
+        before = waits.count
+        root = engine.tracer.root_span("request", endpoint="test")
+        with root:
+            engine.execute_sql("SELECT M4(s) FROM s GROUP BY SPANS(10)")
+        slot_waits = root.find_all("exec.slot_wait")
+        assert len(slot_waits) == 1 and slot_waits[0].parent is root
+        assert root.find("query") is not None
+        assert waits.count == before + 1
+
     def test_m4udf_query_produces_scan_and_merge_spans(
             self, loaded_engine):
         engine, _t, _v = loaded_engine

@@ -72,6 +72,16 @@ class TestEndpoints:
         assert any(k.startswith("server_requests_total")
                    for k in requests_total)
 
+    def test_stats_reports_process_switches_and_cpu(self, served):
+        fields = ("voluntary_context_switches",
+                  "involuntary_context_switches", "cpu_seconds")
+        first = served.client.stats()["server"]["process"]
+        served.client.query(SQL)
+        second = served.client.stats()["server"]["process"]
+        for field in fields:
+            assert isinstance(first[field], (int, float))
+            assert second[field] >= first[field]
+
     def test_typed_client_raises_on_errors(self, served):
         with pytest.raises(ServerError) as info:
             served.client.query("SELECT nonsense")
@@ -220,6 +230,16 @@ class TestOverload:
         response = served.client.render_response("ball", timeout_ms=100,
                                                  sleep_ms=5000)
         assert response.status == 504
+
+    def test_execution_slot_wait_expiry_is_504(self, served):
+        from repro.obs.metrics import NULL_REGISTRY
+        from repro.storage.locks import EXEC_SLOT
+        before = served.engine.stats.snapshot()
+        with EXEC_SLOT.hold(NULL_REGISTRY):
+            response = served.client.query_response(SQL, timeout_ms=50)
+        assert response.status == 504
+        assert "deadline" in response.json()["error"]
+        assert served.engine.stats.diff(before).chunk_loads == 0
 
 
 class TestShutdown:

@@ -178,3 +178,32 @@ class TestDeadline:
         with deadline_scope(Deadline(0.0)):
             with pytest.raises(DeadlineExceededError):
                 router.execute_sql(SQL % "root.a")
+
+
+class TestExecSlot:
+    def test_router_answers_while_its_process_slot_is_held(self, router):
+        # The router's threads only wait on pipes; each worker process
+        # takes its own slot.  A router taking this process's slot
+        # would wait out the deadline instead of answering.
+        import threading
+
+        from repro.obs.metrics import NULL_REGISTRY
+        from repro.storage.locks import EXEC_SLOT
+        _load(router, NAMES[:2])
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with EXEC_SLOT.hold(NULL_REGISTRY):
+                held.set()
+                release.wait(30)
+
+        thread = threading.Thread(target=holder, daemon=True)
+        thread.start()
+        try:
+            assert held.wait(10)
+            with deadline_scope(Deadline(10.0)):
+                table = router.execute_sql(SQL % "root.a")
+            assert len(table.rows) == 64
+        finally:
+            release.set()
+            thread.join(10)

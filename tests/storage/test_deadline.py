@@ -121,3 +121,29 @@ class TestQueryCancellation:
                 with pytest.raises(DeadlineExceededError):
                     aggregate(engine, "s", 0, 8000, 20, ("count", "avg"))
             assert engine.stats.diff(before).chunk_loads == 0
+
+    def test_slot_wait_honours_the_deadline_before_any_io(self, tmp_path):
+        import threading
+
+        from repro.obs.metrics import NULL_REGISTRY
+        from repro.storage.locks import EXEC_SLOT
+
+        outcome = {}
+        with self._loaded(tmp_path) as engine:
+
+            def query():
+                with deadline_scope(Deadline(0.05)):
+                    try:
+                        engine.execute_sql(
+                            "SELECT M4(s) FROM s GROUP BY SPANS(20)")
+                    except DeadlineExceededError as exc:
+                        outcome["error"] = exc
+
+            before = engine.stats.snapshot()
+            with EXEC_SLOT.hold(NULL_REGISTRY):
+                thread = threading.Thread(target=query, daemon=True)
+                thread.start()
+                thread.join(10)
+                assert not thread.is_alive()
+            assert isinstance(outcome.get("error"), DeadlineExceededError)
+            assert engine.stats.diff(before).chunk_loads == 0

@@ -1,4 +1,5 @@
-"""RWLock unit tests: reentrancy, exclusion, writer preference."""
+"""Lock unit tests: RWLock reentrancy, exclusion, writer preference;
+the execution slot's reentrancy, exclusion and deadline."""
 
 from __future__ import annotations
 
@@ -222,3 +223,79 @@ class TestLockWaitObs:
         with lock.read():
             pass
         assert self._observed(registry, "read") == 1
+
+
+class TestExecSlot:
+    """The execution slot: reentrant, exclusive, timed like RWLock."""
+
+    def test_reentrant_holds_wait_and_are_timed_once(self):
+        from repro.obs import MetricsRegistry
+        from repro.storage.locks import ExecSlot
+
+        registry = MetricsRegistry()
+        slot = ExecSlot()
+        with slot.hold(registry):
+            with slot.hold(registry):
+                pass
+        assert registry.histogram("exec_slot_wait_seconds").count == 1
+        with slot.hold(registry):  # fully released: free to take again
+            pass
+        assert registry.histogram("exec_slot_wait_seconds").count == 2
+
+    def test_expired_wait_leaves_the_slot_usable(self):
+        from repro.errors import DeadlineExceededError
+        from repro.obs.metrics import NULL_REGISTRY
+        from repro.storage.deadline import Deadline, deadline_scope
+        from repro.storage.locks import ExecSlot
+
+        slot = ExecSlot()
+        outcome = []
+
+        def waiter():
+            with deadline_scope(Deadline(0.05)):
+                try:
+                    with slot.hold(NULL_REGISTRY):
+                        outcome.append("entered")
+                except DeadlineExceededError:
+                    outcome.append("expired")
+
+        with slot.hold(NULL_REGISTRY):
+            thread = threading.Thread(target=waiter)
+            thread.start()
+            thread.join(10)
+            assert not thread.is_alive()
+        assert outcome == ["expired"]
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive() and outcome == ["expired", "entered"]
+
+    def test_one_holder_at_a_time_under_forced_switches(self):
+        import sys
+
+        from repro.obs.metrics import NULL_REGISTRY
+        from repro.storage.locks import ExecSlot
+
+        slot = ExecSlot()
+        inside = [0]
+        peak = [0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def worker():
+                for _ in range(300):
+                    with slot.hold(NULL_REGISTRY):
+                        with slot.hold(NULL_REGISTRY):
+                            inside[0] += 1
+                            peak[0] = max(peak[0], inside[0])
+                            inside[0] -= 1
+
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert peak[0] == 1 and inside[0] == 0

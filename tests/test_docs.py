@@ -1,5 +1,6 @@
 """The docs stay healthy: links resolve, public modules render help,
-backticked ``repro.…`` names resolve.
+backticked ``repro.…`` names resolve, documented CLI flag defaults
+match the parser.
 
 Thin wrapper over scripts/check_docs.py so the same checks gate both
 CI's docs job and a plain local pytest run.
@@ -25,3 +26,7 @@ def test_public_modules_render_pydoc():
 
 def test_dotted_names_resolve():
     assert check_docs.check_dotted_names() == []
+
+
+def test_documented_flag_defaults_match_the_parser():
+    assert check_docs.check_flag_defaults() == []
