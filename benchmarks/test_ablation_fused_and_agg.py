@@ -1,8 +1,5 @@
 """Extra ablations beyond the paper's figures:
 
-* fused metadata fast path on/off — quantifies the per-span solver
-  overhead the verified fold removes for every span whose candidates
-  survive verification (deterministically: candidate iterations);
 * streaming (heap) vs vectorized UDF merge — the two MergeReader
   implementations, semantically identical, an order of magnitude apart;
 * metadata-accelerated aggregation vs merge-everything aggregation —
@@ -16,30 +13,6 @@ from repro.core.aggregation import aggregate_lsm, aggregate_udf
 
 from conftest import get_engine, print_tables
 from repro.bench.report import BenchTable
-
-
-def _candidate_iterations(prepared, fused):
-    stats = prepared.engine.stats
-    before = stats.snapshot()
-    make_operator(prepared, "m4lsm", fused_fast_path=fused).query(
-        prepared.series, prepared.t_qs, prepared.t_qe, 100)
-    return stats.diff(before).candidate_iterations
-
-
-@pytest.mark.parametrize("fused", [True, False])
-def test_fused_fast_path(benchmark, engine_cache, fused):
-    prepared = get_engine(engine_cache, dataset="MF03", overlap_pct=10)
-    lsm = make_operator(prepared, "m4lsm", fused_fast_path=fused)
-    result = benchmark.pedantic(
-        lsm.query, args=(prepared.series, prepared.t_qs, prepared.t_qe,
-                         100),
-        rounds=2, iterations=1)
-    assert len(result) == 100
-    iterations = _candidate_iterations(prepared, fused)
-    benchmark.extra_info["candidate_iterations"] = iterations
-    print("\nfused=%s: %d candidate iterations" % (fused, iterations))
-    if fused:
-        assert iterations < _candidate_iterations(prepared, False)
 
 
 @pytest.mark.parametrize("streaming", [False, True])

@@ -155,9 +155,8 @@ def aggregate_lsm(engine, series, t_qs, t_qe, w, functions, degraded=None):
     merged = merge[members.span] & (contested | fragments)
 
     check_deadline()  # cancellation point: before the merge
-    arrays = [(fragment.data_t, fragment.data_v, fragment.version)
-              for fragment in map(members.member, np.flatnonzero(
-                  merged & fragments).tolist())]
+    arrays = [(*members.points(row), members.version[row])
+              for row in np.flatnonzero(merged & fragments).tolist()]
     arrays += load_chunks(engine, reader, [
         members.metas[row] for row in np.flatnonzero(contested).tolist()],
         degraded, skipped)

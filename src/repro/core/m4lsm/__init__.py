@@ -1,39 +1,21 @@
-"""M4-LSM: the paper's chunk-merge-free M4 operator."""
+"""M4-LSM: the paper's chunk-merge-free M4 operator.
 
-from .candidates import ALL_FUNCTIONS, BP, FP, LP, TP, ChunkView, candidate_pool
-from .operator import M4LSMOperator, SpanSolver
+:mod:`.operator` runs a query: read metadata, sweep, solve.
+:mod:`.lazyload` holds the sweep and Algorithm 1's rounds over the
+members' columns; :mod:`.tracing` the per-span EXPLAIN record.
+"""
+
+from .lazyload import SpanMembers, SpanRounds
+from .operator import M4LSMOperator
 from .tracing import EMPTY, FUSED, SOLVER, QueryTrace, SpanTrace
-from .verification import (
-    DELETED,
-    LATEST,
-    OVERWRITTEN,
-    Verdict,
-    verify_bp_tp,
-    verify_fp_lp,
-)
-from .virtual_deletes import deletes_with_span, span_virtual_deletes
 
 __all__ = [
-    "ALL_FUNCTIONS",
-    "BP",
-    "ChunkView",
-    "DELETED",
     "EMPTY",
     "FUSED",
-    "FP",
-    "LATEST",
-    "LP",
     "M4LSMOperator",
-    "OVERWRITTEN",
     "QueryTrace",
     "SOLVER",
-    "SpanSolver",
+    "SpanMembers",
+    "SpanRounds",
     "SpanTrace",
-    "TP",
-    "Verdict",
-    "candidate_pool",
-    "deletes_with_span",
-    "span_virtual_deletes",
-    "verify_bp_tp",
-    "verify_fp_lp",
 ]

@@ -1,10 +1,11 @@
 """Query tracing: what M4-LSM did, span by span.
 
 ``M4LSMOperator.query_traced`` returns the result *plus* a
-:class:`QueryTrace` recording, per span, whether the fused metadata fast
-path answered, how many candidate-generation iterations ran, and what
-the span cost in chunk loads and index probes — the per-span breakdown
-of the counters behind the paper's latency curves.  The rendered trace
+:class:`QueryTrace` recording, per span, whether round 1 of Algorithm 1
+settled it from metadata, how many candidate iterations its later
+rounds ran, and what the span cost in chunk loads and index probes —
+the per-span breakdown of the counters behind the paper's latency
+curves.  The rendered trace
 is the operator's EXPLAIN output.
 """
 
@@ -14,8 +15,8 @@ import dataclasses
 
 #: Span resolution modes.
 EMPTY = "empty"     # no chunk overlapped the span
-FUSED = "fused"     # answered by combining statistics, zero iterations
-SOLVER = "solver"   # full candidate generation / verification
+FUSED = "fused"     # settled by round 1 from metadata, zero iterations
+SOLVER = "solver"   # went on to later rounds of Algorithm 1
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 A delete is a closed time range ``[t_ds, t_de]`` with a version number.
 It removes every point of any chunk with a *smaller* version whose
-timestamp falls in the range.  Virtual deletes (Section 3.1) are ordinary
-:class:`Delete` objects with infinite version.
+timestamp falls in the range.  A delete with infinite version is the
+paper's virtual delete (Section 3.1); M4-LSM needs none, because its
+sweep clips every chunk to the spans it reaches.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import numpy as np
 
 from ..errors import StorageError
-from .versions import VERSION_INFINITY
 
 #: Open endpoints for virtual deletes covering ``(-inf, x)`` / ``[x, +inf)``.
 TIME_MIN = -(2 ** 62)
@@ -42,16 +42,6 @@ class Delete:
         """True for span-boundary virtual deletes (version infinity)."""
         return math.isinf(self.version)
 
-    @classmethod
-    def virtual_before(cls, t):
-        """Virtual delete ``(-inf, t)`` — i.e. ``[TIME_MIN, t - 1]``."""
-        return cls(TIME_MIN, int(t) - 1, VERSION_INFINITY)
-
-    @classmethod
-    def virtual_from(cls, t):
-        """Virtual delete ``[t, +inf)`` — i.e. ``[t, TIME_MAX]``."""
-        return cls(int(t), TIME_MAX, VERSION_INFINITY)
-
 
 class DeleteList:
     """An ordered collection of deletes with vectorized application.
@@ -78,11 +68,6 @@ class DeleteList:
                 and not delete.is_virtual():
             raise StorageError("delete versions must increase")
         self._deletes.append(delete)
-
-    def extended(self, extra):
-        """A new list with ``extra`` deletes appended (used to mix in
-        virtual deletes without mutating the store's list)."""
-        return DeleteList(self._deletes + list(extra))
 
     def after_version(self, version):
         """Deletes with a version strictly greater than ``version``."""

@@ -30,7 +30,8 @@ class IoStats:
     points_merged: int = 0         # points pushed through MergeReader
     bytes_read: int = 0            # raw bytes fetched from disk
     index_lookups: int = 0         # chunk-index probe operations
-    candidate_iterations: int = 0  # M4-LSM generate/verify rounds
+    candidate_iterations: int = 0  # M4-LSM (span, function) pairs per
+                                   # round after the first
     cache_hits: int = 0            # shared ChunkCache hits
     cache_misses: int = 0          # shared ChunkCache misses
 

@@ -79,14 +79,6 @@ class Statistics:
         """Last timestamp covered by the chunk."""
         return self.last.t
 
-    def covers_time(self, t):
-        """True if ``t`` lies in the chunk's closed time interval.
-
-        Note this is the interval test of Section 3.4: a covered time does
-        *not* imply a point exists at ``t``.
-        """
-        return self.start_time <= t <= self.end_time
-
     def overlaps(self, t_start, t_end):
         """True if the chunk's interval intersects ``[t_start, t_end)``."""
         return self.start_time < t_end and self.end_time >= t_start

@@ -1,5 +1,5 @@
 """Edge-case tests for the M4-LSM operator: boundary geometry, heavy
-overwrites, ties, and interactions between deletes and virtual deletes."""
+overwrites, ties, and interactions between deletes and span bounds."""
 
 import numpy as np
 import pytest

@@ -200,8 +200,8 @@ class TestOperatorVariants:
     @pytest.mark.parametrize("kwargs", [
         {"lazy": False},
         {"use_regression": False},
-        {"fused_fast_path": False},
-        {"lazy": False, "use_regression": False, "fused_fast_path": False},
+        {},
+        {"lazy": False, "use_regression": False},
     ])
     def test_variants_agree_with_udf(self, adversarial_engine, kwargs):
         udf = M4UDFOperator(adversarial_engine)

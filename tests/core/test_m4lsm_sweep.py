@@ -19,8 +19,8 @@ from repro.obs import tracer_of
 from repro.storage import StorageConfig, StorageEngine
 from repro.storage.deadline import Deadline, deadline_scope
 
-SWITCHES = [dict(zip(("lazy", "use_regression", "fused_fast_path"), bits))
-            for bits in itertools.product((True, False), repeat=3)]
+SWITCHES = [dict(zip(("lazy", "use_regression"), bits))
+            for bits in itertools.product((True, False), repeat=2)]
 
 
 def assert_identical(engine, series, t_qs, t_qe, w, **switches):

@@ -1,251 +1,282 @@
-"""Unit tests for the M4-LSM building blocks: virtual deletes, chunk
-views, candidate generation and verification rules."""
+"""Algorithm 1's rules, one tiny store each.
+
+Every case runs M4-LSM on a handful of hand-made chunks, asserts that it
+answers exactly like M4-UDF, and pins what the answer cost: the chunk
+loads (read type (c)) and index lookups (read types (a) and (b)) of the
+rounds that settle the contested spans.  The class names follow the
+parts of Algorithm 1 they exercise: span bounds (Section 3.1), the
+per-row state, candidate generation (Section 3.2), FP/LP verification
+(Section 3.3), BP/TP verification (Section 3.4) and bound tightening.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.m4lsm import (
-    BP,
-    FP,
-    LP,
-    TP,
-    ChunkView,
-    candidate_pool,
-    deletes_with_span,
-    span_virtual_deletes,
-    verify_bp_tp,
-    verify_fp_lp,
-)
-from repro.core.m4lsm.candidates import known_candidates, pending_views
-from repro.core.m4lsm.lazyload import (
-    tighten_first_bound,
-    tighten_last_bound,
-)
-from repro.core.series import Point
-from repro.storage import Delete, DeleteList, StorageConfig, write_chunk
-from repro.storage.versions import VERSION_INFINITY
+from repro.core import M4LSMOperator, M4UDFOperator, Point
+from repro.core.m4lsm import FUSED, SOLVER
+from repro.storage import StorageConfig, StorageEngine
 
 
-def make_meta(times, values, version, series_id=1):
-    _block, meta = write_chunk(series_id, version,
-                               np.array(times, dtype=np.int64),
-                               np.array(values, dtype=np.float64))
-    return meta
+@pytest.fixture
+def make_store(tmp_path):
+    """``make_store(*chunks, deletes=(), deletes_after=None)``: each
+    ``(times, values)`` is flushed as its own chunk, oldest first;
+    ``deletes`` are ``(lo, hi)`` ranges applied after the first
+    ``deletes_after`` chunks (default: after all of them)."""
+    engines = []
+
+    def make(*chunks, deletes=(), deletes_after=None):
+        engine = StorageEngine(tmp_path / ("db%d" % len(engines)),
+                               StorageConfig(
+                                   avg_series_point_number_threshold=1000,
+                                   points_per_page=2))
+        engines.append(engine)
+        engine.create_series("s")
+        split = len(chunks) if deletes_after is None else deletes_after
+        for k, (t, v) in enumerate(chunks):
+            if k == split:
+                for lo, hi in deletes:
+                    engine.delete("s", lo, hi)
+            engine.write_batch("s", np.array(t, dtype=np.int64),
+                               np.array(v, dtype=np.float64))
+            engine.flush("s")
+        if split == len(chunks):
+            for lo, hi in deletes:
+                engine.delete("s", lo, hi)
+        engine.flush_all()
+        return engine
+
+    yield make
+    for engine in engines:
+        engine.close()
+
+
+def run(engine, t_qs=0, t_qe=100, w=1):
+    """M4-LSM's answer (asserted equal to M4-UDF's, span for span), its
+    trace, and the chunk loads and index lookups it cost."""
+    before = engine.stats.snapshot()
+    result, trace = M4LSMOperator(engine).query_traced("s", t_qs, t_qe, w)
+    spent = engine.stats.diff(before)
+    udf = M4UDFOperator(engine).query("s", t_qs, t_qe, w)
+    assert list(result.spans) == list(udf.spans)
+    return result, trace, (spent.chunk_loads, spent.index_lookups)
 
 
 class TestVirtualDeletes:
-    def test_complement_of_span(self):
-        d1, d2 = span_virtual_deletes(100, 200)
-        for t in (99, -1000):
-            assert d1.covers(t) and not d2.covers(t)
-        for t in (200, 10 ** 12):
-            assert d2.covers(t) and not d1.covers(t)
-        for t in (100, 150, 199):
-            assert not d1.covers(t) and not d2.covers(t)
+    """Span bounds hold by the sweep's clipping: a chunk that crosses a
+    bound is cut there, and no point outside a span reaches it."""
 
-    def test_infinite_version(self):
-        d1, d2 = span_virtual_deletes(0, 1)
-        assert d1.version == VERSION_INFINITY == d2.version
+    def test_complement_of_span(self, make_store):
+        engine = make_store((range(10), range(10)))
+        result, _trace, cost = run(engine, 3, 7)
+        span = result.spans[0]
+        assert (span.first.t, span.last.t) == (3, 6)
+        assert cost == (1, 0)   # the sweep's one load; no round reads
 
-    def test_deletes_with_span_appends_two(self):
-        base = DeleteList([Delete(0, 1, 1)])
-        extended = deletes_with_span(base, 10, 20)
-        assert len(extended) == 3
-        assert len(base) == 1
+    def test_infinite_version(self, make_store):
+        # The newest chunk crosses the bound at 10: its points beyond the
+        # bound stay out of span 0 although no chunk is newer.
+        engine = make_store((range(10), [1.0] * 10),
+                            ([8, 9, 10, 11, 12], [5.0, 6.0, 7.0, 8.0, 9.0]))
+        result, _trace, cost = run(engine, 0, 20, 2)
+        assert result.spans[0].top == Point(9, 6.0)
+        assert result.spans[1].first == Point(10, 7.0)
+        assert cost == (1, 0)
+
+    def test_deletes_with_span_appends_two(self, make_store):
+        # A real delete across the bound acts on both sides of it.
+        engine = make_store((range(20), range(20)), deletes=[(8, 12)])
+        result, _trace, cost = run(engine, 0, 20, 2)
+        assert result.spans[0].last.t == 7
+        assert result.spans[1].first.t == 13
+        assert cost == (1, 0)
 
 
 class TestChunkView:
-    def test_initial_state_is_whole_chunk_metadata(self):
-        meta = make_meta([10, 20, 30], [5.0, -1.0, 7.0], version=3)
-        view = ChunkView(meta, 0, 100)
-        assert view.get_point(FP) == Point(10, 5.0)
-        assert view.get_point(LP) == Point(30, 7.0)
-        assert view.get_point(BP) == Point(20, -1.0)
-        assert view.get_point(TP) == Point(30, 7.0)
-        assert not view.loaded and view.version == 3
+    """The per-row state: stored statistics until a candidate fails,
+    then pending, recomputed or dead."""
 
-    def test_invalidate_and_dead_lifecycle(self):
-        meta = make_meta([10], [1.0], version=1)
-        view = ChunkView(meta, 0, 100)
-        view.invalidate(TP)
-        assert view.is_pending(TP)
-        view.mark_dead(TP)
-        assert view.is_dead(TP) and not view.is_pending(TP)
-        assert view.get_point(TP) is None
+    def test_initial_state_is_whole_chunk_metadata(self, make_store):
+        engine = make_store(([10, 20, 30], [5.0, -1.0, 7.0]))
+        result, trace, cost = run(engine)
+        span = result.spans[0]
+        assert (span.first, span.last, span.bottom, span.top) == (
+            Point(10, 5.0), Point(30, 7.0), Point(20, -1.0), Point(30, 7.0))
+        assert trace.counts_by_mode()[FUSED] == 1
+        assert cost == (0, 0)
 
-    def test_interval_covers_uses_whole_chunk(self):
-        meta = make_meta([10, 30], [1.0, 2.0], version=1)
-        view = ChunkView(meta, 0, 100)
-        assert view.interval_covers(20)  # no point there, interval covers
-        assert not view.interval_covers(31)
+    def test_invalidate_and_dead_lifecycle(self, make_store):
+        # The FP dies, its bound moves past the delete, the index walk
+        # finds nothing after it: the row is dead and the span empty.
+        engine = make_store(([10], [1.0]), deletes=[(10, 10)])
+        result, trace, cost = run(engine)
+        assert not result.occupied[0]
+        assert trace.counts_by_mode()[SOLVER] == 1
+        assert cost == (0, 1)
 
-    def test_surviving_data_applies_exclusions(self):
-        meta = make_meta([1, 2, 3], [1.0, 2.0, 3.0], version=1)
-        view = ChunkView(meta, 0, 10)
-        view.data_t = np.array([1, 2, 3], dtype=np.int64)
-        view.data_v = np.array([1.0, 2.0, 3.0])
-        view.loaded = True
-        view.excluded.add(2)
-        t, v = view.surviving_data()
-        assert t.tolist() == [1, 3] and v.tolist() == [1.0, 3.0]
+    def test_interval_covers_uses_whole_chunk(self, make_store):
+        # Only the newer chunk whose interval [15, 25] covers the TP at
+        # t = 20 is probed; the one at [31, 40] is dismissed for free.
+        engine = make_store(([10, 20, 30], [1.0, 9.0, 2.0]),
+                            ([15, 25], [0.0, 0.0]),
+                            ([31, 40], [0.5, 0.5]))
+        result, _trace, cost = run(engine)
+        assert result.spans[0].top == Point(20, 9.0)
+        assert cost == (0, 1)
+
+    def test_surviving_data_applies_exclusions(self, make_store):
+        # The TP at t = 3 is rewritten: the old chunk is loaded once and
+        # its TP recomputed without t = 3.
+        engine = make_store(([1, 2, 3], [1.0, 2.0, 3.0]), ([3], [0.0]))
+        result, _trace, cost = run(engine)
+        assert result.spans[0].top == Point(2, 2.0)
+        assert cost == (1, 1)
 
 
 class TestCandidateGeneration:
-    def make_views(self):
-        a = ChunkView(make_meta([10, 20], [1.0, 9.0], version=1), 0, 100)
-        b = ChunkView(make_meta([15, 25], [0.0, 9.0], version=2), 0, 100)
-        return [a, b]
+    """Section 3.2: the extreme metadata point, a value tie going to the
+    earliest time and a time tie to the newest version."""
 
-    def test_fp_picks_min_time(self):
-        pool = candidate_pool(self.make_views(), FP)
-        assert pool[0][1] == Point(10, 1.0)
+    @pytest.fixture
+    def two_chunks(self, make_store):
+        return make_store(([10, 20], [1.0, 9.0]), ([15, 25], [0.0, 9.0]))
 
-    def test_lp_picks_max_time(self):
-        pool = candidate_pool(self.make_views(), LP)
-        assert pool[0][1] == Point(25, 9.0)
+    def test_fp_picks_min_time(self, two_chunks):
+        result, _trace, _cost = run(two_chunks)
+        assert result.spans[0].first == Point(10, 1.0)
 
-    def test_bp_picks_min_value(self):
-        pool = candidate_pool(self.make_views(), BP)
-        assert pool[0][1] == Point(15, 0.0)
+    def test_lp_picks_max_time(self, two_chunks):
+        result, _trace, _cost = run(two_chunks)
+        assert result.spans[0].last == Point(25, 9.0)
 
-    def test_tp_value_tie_broken_by_earliest_time(self):
-        # 9.0 appears at t=20 (v1) and t=25 (v2): first occurrence wins,
-        # matching the UDF's argmax over the merged series.
-        pool = candidate_pool(self.make_views(), TP)
-        assert [p.t for _view, p in pool] == [20, 25]
-        assert pool[0][1] == Point(20, 9.0)
+    def test_bp_picks_min_value(self, two_chunks):
+        result, _trace, _cost = run(two_chunks)
+        assert result.spans[0].bottom == Point(15, 0.0)
 
-    def test_timestamp_tie_broken_by_version(self):
-        # Same value at the same timestamp in two chunk generations:
-        # the newer version is tried first (argmax P.kappa).
-        a = ChunkView(make_meta([10, 20], [1.0, 9.0], version=1), 0, 100)
-        b = ChunkView(make_meta([20, 25], [9.0, 2.0], version=2), 0, 100)
-        pool = candidate_pool([a, b], TP)
-        assert [view.version for view, _p in pool] == [2, 1]
-        assert pool[0][1] == Point(20, 9.0)
+    def test_tp_value_tie_broken_by_earliest_time(self, two_chunks):
+        # 9.0 at t = 20 (older) and t = 25 (newer): the earliest wins
+        # once one probe shows the newer chunk holds no point at 20.
+        result, _trace, cost = run(two_chunks)
+        assert result.spans[0].top == Point(20, 9.0)
+        assert cost == (0, 1)
 
-    def test_pending_views_excluded_from_pool(self):
-        views = self.make_views()
-        views[0].invalidate(FP)
-        pool = candidate_pool(views, FP)
-        assert len(pool) == 1 and pool[0][0] is views[1]
-        assert pending_views(views, FP) == [views[0]]
-        assert len(known_candidates(views, FP)) == 1
+    def test_timestamp_tie_broken_by_version(self, make_store):
+        # The same TP time in two chunks: the newer one's is the
+        # candidate, so nothing is probed or loaded.
+        engine = make_store(([10, 20], [1.0, 9.0]), ([20, 25], [9.0, 2.0]))
+        result, _trace, cost = run(engine)
+        assert result.spans[0].top == Point(20, 9.0)
+        assert cost == (0, 0)
 
-    def test_empty_pool_when_all_dead(self):
-        views = self.make_views()
-        for view in views:
-            view.mark_dead(FP)
-        assert candidate_pool(views, FP) == []
+    def test_pending_views_excluded_from_pool(self, make_store):
+        # The old chunk's FP at 10 is deleted; its bound (11) could beat
+        # the newer chunk's FP at 12, so it is resolved first (one walk
+        # step) and wins.
+        engine = make_store(([10, 11, 30], [2.0, 1.0, 3.0]),
+                            ([12, 40], [4.0, 5.0]), deletes=[(10, 10)])
+        result, _trace, cost = run(engine)
+        assert result.spans[0].first == Point(11, 1.0)
+        assert cost == (0, 1)
+
+    def test_empty_pool_when_all_dead(self, make_store):
+        engine = make_store(([10, 20], [1.0, 2.0]), ([15, 25], [3.0, 4.0]),
+                            deletes=[(0, 99)])
+        result, trace, cost = run(engine)
+        assert not result.occupied[0]
+        assert trace.counts_by_mode()[SOLVER] == 1
+        assert cost == (0, 2)
 
 
 class TestVerifyFpLp:
-    """Proposition 3.1: only deletes can kill an FP/LP candidate."""
+    """Proposition 3.1: only a newer delete can kill an FP/LP."""
 
-    def test_latest_when_no_newer_delete_covers(self):
-        view = ChunkView(make_meta([10, 20], [1.0, 2.0], 5), 0, 100)
-        deletes = DeleteList([Delete(10, 10, 3)])  # older than the chunk
-        verdict = verify_fp_lp(Point(10, 1.0), view, deletes)
-        assert verdict.is_latest()
+    def test_latest_when_no_newer_delete_covers(self, make_store):
+        # The delete at t = 10 predates the chunk that rewrote t = 10.
+        engine = make_store(([10, 20], [3.0, 2.0]), ([10], [5.0]),
+                            deletes=[(10, 10)], deletes_after=1)
+        result, trace, cost = run(engine)
+        assert result.spans[0].first == Point(10, 5.0)
+        assert trace.counts_by_mode()[FUSED] == 1
+        assert cost == (0, 0)
 
-    def test_deleted_by_newer_delete(self):
-        view = ChunkView(make_meta([10, 20], [1.0, 2.0], 5), 0, 100)
-        deletes = DeleteList([Delete(10, 10, 7)])
-        verdict = verify_fp_lp(Point(10, 1.0), view, deletes)
-        assert verdict.status == "deleted"
-        assert verdict.delete.version == 7
+    def test_deleted_by_newer_delete(self, make_store):
+        engine = make_store(([10, 20, 30], [2.0, 1.0, 3.0]),
+                            deletes=[(10, 10)])
+        result, _trace, cost = run(engine)
+        assert result.spans[0].first == Point(20, 1.0)
+        assert cost == (0, 1)
 
-    def test_virtual_delete_kills_out_of_span_candidate(self):
-        view = ChunkView(make_meta([10, 200], [1.0, 2.0], 5), 50, 100)
-        deletes = deletes_with_span(DeleteList(), 50, 100)
-        verdict = verify_fp_lp(Point(10, 1.0), view, deletes)
-        assert verdict.status == "deleted"
-        assert verdict.delete.is_virtual()
+    def test_virtual_delete_kills_out_of_span_candidate(self, make_store):
+        # The chunk's interval [10, 200] meets the span [50, 100) but
+        # none of its points lies inside: the sweep leaves it no row.
+        engine = make_store(([10, 200], [1.0, 2.0]))
+        result, _trace, cost = run(engine, 50, 100)
+        assert not result.occupied[0]
+        assert cost == (1, 0)
 
 
 class TestVerifyBpTp:
-    """Proposition 3.3: deletes or overwrites kill a BP/TP candidate."""
+    """Proposition 3.3: a newer delete or a newer point kills a BP/TP."""
 
-    def make_reader(self, engine):
-        return engine.data_reader()
+    def test_overwrite_detected_via_index(self, make_store):
+        engine = make_store(([10, 20, 30], [1.0, 9.0, 2.0]), ([20], [0.0]))
+        result, _trace, cost = run(engine)
+        span = result.spans[0]
+        assert (span.bottom, span.top) == (Point(20, 0.0), Point(30, 2.0))
+        assert cost == (1, 1)
 
-    def test_overwrite_detected_via_index(self, engine):
-        engine.create_series("s")
-        engine.write_batch("s", np.array([10, 20, 30], dtype=np.int64),
-                           np.array([1.0, 9.0, 2.0]))
-        engine.flush("s")
-        engine.write_batch("s", np.array([20], dtype=np.int64),
-                           np.array([0.0]))
-        engine.flush_all()
-        old, new = engine.chunks_for("s")
-        views = [ChunkView(old, 0, 100), ChunkView(new, 0, 100)]
-        reader = engine.data_reader()
-        verdict = verify_bp_tp(Point(20, 9.0), views[0], views,
-                               DeleteList(), reader)
-        assert verdict.status == "overwritten"
-        assert verdict.by_view is views[1]
+    def test_interval_overlap_without_point_is_latest(self, make_store):
+        # A newer interval covers the TP's time without a point there:
+        # one probe settles it, nothing is loaded.
+        engine = make_store(([10, 20, 30], [1.0, 9.0, 2.0]),
+                            ([15, 25], [0.0, 0.0]))
+        result, _trace, cost = run(engine)
+        assert result.spans[0].top == Point(20, 9.0)
+        assert cost == (0, 1)
 
-    def test_interval_overlap_without_point_is_latest(self, engine):
-        engine.create_series("s")
-        engine.write_batch("s", np.array([10, 20, 30], dtype=np.int64),
-                           np.array([1.0, 9.0, 2.0]))
-        engine.flush("s")
-        # Newer chunk covers t=20 by interval but has no point there.
-        engine.write_batch("s", np.array([15, 25], dtype=np.int64),
-                           np.array([0.0, 0.0]))
-        engine.flush_all()
-        old, new = engine.chunks_for("s")
-        views = [ChunkView(old, 0, 100), ChunkView(new, 0, 100)]
-        reader = engine.data_reader()
-        verdict = verify_bp_tp(Point(20, 9.0), views[0], views,
-                               DeleteList(), reader)
-        assert verdict.is_latest()
+    def test_older_chunks_never_checked(self, make_store):
+        # Every candidate comes from the newest chunk; the older chunk's
+        # interval covers the TP's time but is never probed.
+        engine = make_store(([20], [5.0]), ([10, 20, 30], [1.0, 9.0, 2.0]))
+        result, trace, cost = run(engine)
+        assert result.spans[0].top == Point(20, 9.0)
+        assert trace.counts_by_mode()[FUSED] == 1
+        assert cost == (0, 0)
 
-    def test_older_chunks_never_checked(self, engine):
-        engine.create_series("s")
-        engine.write_batch("s", np.array([20], dtype=np.int64),
-                           np.array([5.0]))
-        engine.flush("s")
-        engine.write_batch("s", np.array([20], dtype=np.int64),
-                           np.array([9.0]))
-        engine.flush_all()
-        old, new = engine.chunks_for("s")
-        views = [ChunkView(old, 0, 100), ChunkView(new, 0, 100)]
-        reader = engine.data_reader()
-        # The *newer* chunk's point is latest even though the older chunk
-        # contains the same timestamp.
-        verdict = verify_bp_tp(Point(20, 9.0), views[1], views,
-                               DeleteList(), reader)
-        assert verdict.is_latest()
-
-    def test_delete_checked_before_overwrite(self, engine):
-        engine.create_series("s")
-        engine.write_batch("s", np.array([20], dtype=np.int64),
-                           np.array([5.0]))
-        engine.flush_all()
-        meta = engine.chunks_for("s")[0]
-        views = [ChunkView(meta, 0, 100)]
-        deletes = DeleteList([Delete(20, 20, meta.version + 1)])
-        verdict = verify_bp_tp(Point(20, 5.0), views[0], views, deletes,
-                               engine.data_reader())
-        assert verdict.status == "deleted"
+    def test_delete_checked_before_overwrite(self, make_store):
+        # The TP at t = 20 lies in the newer chunk's interval but is
+        # deleted: it dies without a probe, and both chunks reload.
+        engine = make_store(([10, 20, 30], [1.0, 9.0, 2.0]),
+                            ([20, 25], [0.0, 0.5]), deletes=[(20, 20)])
+        result, _trace, cost = run(engine)
+        span = result.spans[0]
+        assert (span.bottom, span.top) == (Point(25, 0.5), Point(30, 2.0))
+        assert cost == (2, 0)
 
 
 class TestTightening:
-    def test_first_bound_moves_past_delete(self):
-        view = ChunkView(make_meta([10, 50], [1.0, 2.0], 1), 0, 100)
-        tighten_first_bound(view, Delete(5, 20, 9))
-        assert view.first_bound == 21
-        assert view.is_pending(FP)
+    """The paper's ``FP(C).t = t_de`` / ``LP(C).t = t_ds``: a killed
+    FP/LP bound moves past the delete, and only ever forwards."""
 
-    def test_last_bound_moves_before_delete(self):
-        view = ChunkView(make_meta([10, 50], [1.0, 2.0], 1), 0, 100)
-        tighten_last_bound(view, Delete(40, 60, 9))
-        assert view.last_bound == 39
-        assert view.is_pending(LP)
+    def test_first_bound_moves_past_delete(self, make_store):
+        engine = make_store(([10, 15, 20, 50, 60],
+                             [2.0, 2.5, 2.2, 1.0, 3.0]), deletes=[(5, 20)])
+        result, _trace, cost = run(engine)
+        assert result.spans[0].first == Point(50, 1.0)
+        assert cost == (0, 1)   # one probe jumps the whole delete
 
-    def test_bounds_only_tighten(self):
-        view = ChunkView(make_meta([10, 50], [1.0, 2.0], 1), 0, 100)
-        tighten_first_bound(view, Delete(5, 30, 9))
-        tighten_first_bound(view, Delete(5, 20, 10))
-        assert view.first_bound == 31
+    def test_last_bound_moves_before_delete(self, make_store):
+        engine = make_store(([0, 10, 40, 45, 50], [1.0, 4.0, 2.0, 2.5, 3.0]),
+                            deletes=[(40, 60)])
+        result, _trace, cost = run(engine)
+        assert result.spans[0].last == Point(10, 4.0)
+        assert cost == (0, 1)
+
+    def test_bounds_only_tighten(self, make_store):
+        # Two deletes cover the FP; the bound moves past [5, 30] in one
+        # step and never back to the narrower [5, 20].
+        engine = make_store(([10, 25, 50, 60], [2.0, 2.5, 1.0, 3.0]),
+                            deletes=[(5, 30), (5, 20)])
+        result, _trace, cost = run(engine)
+        assert result.spans[0].first == Point(50, 1.0)
+        assert cost == (0, 1)

@@ -175,3 +175,46 @@ class TestRenderDegraded:
             assert not matrix.any()
         finally:
             engine.close()
+
+
+class TestDamageFoundInsideASpan:
+    """A damaged whole chunk that only Algorithm 1's later rounds touch:
+    the sweep never opens it, so the chunk load or index probe that the
+    failing candidate needs is what trips the checksum."""
+
+    @pytest.fixture(params=["load", "probe"])
+    def store(self, request, tmp_path):
+        # Ten one-page chunks over t = 0..99; with w = 2 every chunk lies
+        # wholly inside one span.  The first chunk holds span 0's TP at
+        # t = 5.  Deleting it sends the TP to a chunk load (read type
+        # (c)); deleting the FP at t = 0 sends the FP to an index probe
+        # (read type (b)).
+        config = StorageConfig(avg_series_point_number_threshold=10,
+                               points_per_page=10)
+        engine = StorageEngine(tmp_path / "db", config)
+        engine.create_series("s")
+        t = np.arange(100, dtype=np.int64)
+        v = np.sin(t / 3.0)
+        v[5] = 10.0
+        engine.write_batch("s", t, v)
+        engine.flush_all()
+        victim = engine.chunks_for("s")[0]
+        at = 5 if request.param == "load" else 0
+        engine.delete("s", at, at)
+        engine.close()
+        corrupt_chunk(victim)
+        engine = StorageEngine(tmp_path / "db", config)
+        yield engine
+        engine.close()
+
+    def test_degraded_quarantines_and_answers_the_rest(self, store):
+        result, trace = M4LSMOperator(store).query_traced("s", 0, 100, 2)
+        assert trace.counts_by_mode()["solver"] == 1
+        assert result.skipped == ((0, 10),)
+        udf = M4UDFOperator(store).query("s", 0, 100, 2)
+        assert udf.semantically_equal(result)
+        assert udf.skipped == result.skipped
+
+    def test_strict_raises(self, store):
+        with pytest.raises(CorruptFileError):
+            M4LSMOperator(store, degraded=False).query("s", 0, 100, 2)

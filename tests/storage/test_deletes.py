@@ -21,18 +21,6 @@ class TestDelete:
     def test_point_range_allowed(self):
         assert Delete(5, 5, 1).covers(5)
 
-    def test_virtual_before(self):
-        d = Delete.virtual_before(100)
-        assert d.covers(99) and d.covers(TIME_MIN)
-        assert not d.covers(100)
-        assert d.is_virtual() and d.version == VERSION_INFINITY
-
-    def test_virtual_from(self):
-        d = Delete.virtual_from(100)
-        assert d.covers(100) and d.covers(TIME_MAX)
-        assert not d.covers(99)
-        assert d.is_virtual()
-
     def test_real_delete_not_virtual(self):
         assert not Delete(0, 1, 7).is_virtual()
 
@@ -53,14 +41,9 @@ class TestDeleteList:
             deletes.add(Delete(0, 1, 3))
 
     def test_virtual_appends_regardless_of_version(self, deletes):
-        deletes.add(Delete.virtual_before(5))
-        deletes.add(Delete.virtual_from(100))
+        deletes.add(Delete(TIME_MIN, 4, VERSION_INFINITY))
+        deletes.add(Delete(100, TIME_MAX, VERSION_INFINITY))
         assert len(deletes) == 4
-
-    def test_extended_does_not_mutate(self, deletes):
-        extra = deletes.extended([Delete.virtual_before(5)])
-        assert len(extra) == 3
-        assert len(deletes) == 2
 
     def test_after_version(self, deletes):
         assert len(deletes.after_version(2)) == 1

@@ -41,12 +41,6 @@ class TestFromArrays:
 
 
 class TestIntervalPredicates:
-    def test_covers_time_is_interval_not_membership(self, stats):
-        assert stats.covers_time(25)  # inside the interval, no point there
-        assert stats.covers_time(10) and stats.covers_time(40)
-        assert not stats.covers_time(9)
-        assert not stats.covers_time(41)
-
     def test_overlaps_half_open(self, stats):
         assert stats.overlaps(40, 50)
         assert not stats.overlaps(41, 50)
