@@ -68,7 +68,6 @@ PYDOC_MODULES = (
     "repro.shard.protocol",
     "repro.shard.router",
     "repro.shard.worker",
-    "repro.bench.shards",
 )
 
 # [text](target) — excluding images' leading ! doesn't matter for

@@ -16,7 +16,6 @@ import sys
 import time
 
 from repro.bench import (
-    SchemaError,
     ablation_index,
     ablation_lazy,
     bench_points,
@@ -98,33 +97,12 @@ _SECTIONS = (
 )
 
 
-# E13-E15 measure whole subsystems (a live HTTP server, reader pools,
-# a warmed cache) and are too slow / too stateful to
-# re-run inline here; their benches write schema-validated JSON
-# artifacts into benchmarks/ (see repro.bench.schema), and this script
-# renders the checked-in artifacts — anything pre-schema is refused
-# (run scripts/convert_bench_artifacts.py once).
+# E15 measures a warmed cache over whole sessions and is too slow to
+# re-run inline here; its bench writes a schema-validated JSON artifact
+# into benchmarks/ (see repro.bench.schema), and this script renders
+# the checked-in artifact — anything pre-schema is refused.
 # (name, reading, artifact file, regeneration command, column order)
 _ARTIFACTS = (
-    ("E13 — server throughput under load (beyond paper)",
-     "Closed-loop throughput roughly doubles from 1 to 64 users while "
-     "the admission queue sheds the excess (shed rate up to ~0.64) and "
-     "accepted requests stay deadline-bounded; the open-loop overload "
-     "cell sheds ~70% instead of queueing unboundedly.",
-     "BENCH_server.json",
-     "PYTHONPATH=src python -m pytest -q -s benchmarks/test_server_throughput.py",
-     ("mode", "users", "rate", "total", "ok", "shed", "shed_rate",
-      "timeouts", "throughput", "p50_seconds", "p95_seconds",
-      "p99_seconds")),
-    ("E14 — durability tax: read-side CRC verification (beyond paper)",
-     "Cold full-read pays the hashing once (~12% worst case); pooled "
-     "readers verify each payload once per lifetime, so the M4-LSM "
-     "path — the one the paper's workload exercises — is ~2% cold and "
-     "indistinguishable from noise warm.",
-     "BENCH_durability.json",
-     "PYTHONPATH=src python -m pytest -q -s benchmarks/test_durability_overhead.py",
-     ("path", "regime", "verify_off_seconds", "verify_on_seconds",
-      "overhead", "target")),
     ("E15 — M4 tile cache on pan/zoom sessions (beyond paper)",
      "A warmed 10-viewport session answers with p50 ~8.9x (BallSpeed) "
      "/ ~7.6x (KOB) faster than uncached M4-LSM, byte-identical on "
@@ -146,7 +124,7 @@ def _cell(value):
 
 
 def _artifact_sections(bench_dir="benchmarks"):
-    """Markdown sections for E13-E15, rendered from BENCH_*.json."""
+    """Markdown sections for E15, rendered from BENCH_*.json."""
     lines = []
     for title, reading, artifact, command, columns in _ARTIFACTS:
         path = os.path.join(bench_dir, artifact)
@@ -302,96 +280,36 @@ def _ingest_section(bench_dir="benchmarks"):
     return lines
 
 
-def _replication_section(bench_dir="benchmarks"):
-    """The E18 replication section, from BENCH_replication.json."""
-    path = os.path.join(bench_dir, "BENCH_replication.json")
-    lines = ["## E18 — replication lag and failover recovery "
-             "(beyond paper)", ""]
-    lines.append(
-        "Regenerated by `PYTHONPATH=src python -m pytest -q -s "
-        "benchmarks/test_replication_lag.py` → "
-        "`benchmarks/BENCH_replication.json`.  Real primary/standby "
-        "server pairs: paced streams measure shipper lag per ingest "
-        "rate (`ack=queued` lets lag accumulate; `ack=replicated` "
-        "makes every ack wait for the ship), then a short-lease pair "
-        "loses its primary and the standby auto-promotes.")
-    lines.append("")
-    if not os.path.exists(path):
-        lines.append("_Artifact `BENCH_replication.json` not found — "
-                     "run the bench above to produce it._")
-        lines.append("")
-        return lines
-    rows = load_artifact(path, kind="replication")["rows"]
-    columns = ("scenario", "ack_mode", "rate_points_per_s", "points",
-               "achieved_points_per_s", "lag_records_p95",
-               "final_lag_records", "catchup_seconds",
-               "recovery_seconds", "identical")
-    lines.append("| " + " | ".join(columns) + " |")
-    lines.append("|" + "---|" * len(columns))
-    for row in rows:
-        lines.append("| " + " | ".join(_cell(row.get(c))
-                                       for c in columns) + " |")
-    lines.append("")
-    lines.append(
-        "**Reading:** record lag stays in the single digits up to the "
-        "highest paced rate and always drains to zero after the "
-        "stream (the `identical` column is the fingerprint check — "
-        "replication is exact, not approximate); the replicated-ack "
-        "cell holds lag at zero by construction; lease-based "
-        "auto-promotion turns the standby writable in well under the "
-        "ten-second gate (sub-second at bench scale).")
-    lines.append("")
-    return lines
+# The system benches the perf/ ledger and the test suite took over:
+# one line each naming where its check lives now.
+_RETIRED = (
+    "**E13 (server throughput)**: served throughput and latency are "
+    "the `perf/` ledger's `overview`, `zoom` and `pan_tiles` workloads "
+    "(`reads_per_s`, `read_p50_ms`); shedding under overload with "
+    "deadline-bounded accepted latency is `tests/server/"
+    "test_workload.py::TestAgainstLiveServer::"
+    "test_open_loop_overload_sheds_and_bounds_accepted_latency`.",
+    "**E14 (read-side CRC tax)**: retired with the switch it "
+    "measured; every page payload is CRC-checked on read, and "
+    "`tests/storage/test_checksums.py` checks that damage is caught.",
+    "**E18 (replication lag and failover)**: `tests/replication/"
+    "test_http_replication.py::test_stream_converges_and_lag_is_"
+    "observable` (queued and replicated acks drain to zero lag with "
+    "fingerprint-equal replicas) and `::test_lease_expiry_auto_"
+    "promotes_the_standby`; no ledger workload covers replication "
+    "yet (ROADMAP item 1).",
+    "**E19 (shard scaling)**: sharded serving is the ledger's "
+    "`fleet_sharded` workload; byte identity at 1, 2 and 4 shards is "
+    "`tests/shard/test_engine_contract.py`, and shards=4 reaching 2x "
+    "the closed-loop throughput of shards=1 on >= 4 CPUs is "
+    "`tests/shard/test_server_sharded.py::"
+    "test_four_shards_double_closed_loop_throughput`.",
+)
 
 
-def _shards_section(bench_dir="benchmarks"):
-    """The E19 shard-scaling section, from BENCH_shards.json."""
-    path = os.path.join(bench_dir, "BENCH_shards.json")
-    lines = ["## E19 — shard-per-core scaling (beyond paper)", ""]
-    lines.append(
-        "Regenerated by `PYTHONPATH=src python -m pytest -q -s "
-        "benchmarks/test_shard_scaling.py` → "
-        "`benchmarks/BENCH_shards.json` (or `repro bench "
-        "--shards-sweep`).  One logical store is split across "
-        "process-backed engine shards (`crc32(series) mod N` "
-        "placement, pinned in `shards.json`); a real server "
-        "scatter-gathers the E13 closed-loop session workload over "
-        "them.  The `identical` column asserts that query rows *and* "
-        "rendered PBM bytes at every shard count match a pre-shard "
-        "single-engine reference byte-for-byte on all four Table 2 "
-        "datasets.")
-    lines.append("")
-    if not os.path.exists(path):
-        lines.append("_Artifact `BENCH_shards.json` not found — run "
-                     "the bench above to produce it._")
-        lines.append("")
-        return lines
-    doc = load_artifact(path, kind="shards")
-    meta = doc["meta"]
-    lines.append("**Substrate:** %s points/series, git `%s`, %s "
-                 "(**%d CPUs** — the ≥2x-at-4-shards gate only "
-                 "applies on ≥4 CPUs)."
-                 % ("{:,}".format(meta["points"]), meta["git_sha"],
-                    meta["machine_id"], meta["cpu_count"]))
-    lines.append("")
-    columns = ("shards", "mode", "users", "total", "ok", "throughput",
-               "p50_seconds", "p95_seconds", "speedup_vs_1",
-               "identical")
-    lines.append("| " + " | ".join(columns) + " |")
-    lines.append("|" + "---|" * len(columns))
-    for row in doc["rows"]:
-        lines.append("| " + " | ".join(_cell(row.get(c))
-                                       for c in columns) + " |")
-    lines.append("")
-    lines.append(
-        "**Reading:** identity holds at every shard count — sharding "
-        "changes *where* a series lives, never *what* a query "
-        "answers.  Throughput scaling is substrate-bound: each shard "
-        "is a full engine in its own process, so aggregate throughput "
-        "grows with shard count until the machine runs out of cores "
-        "(on a single-core container the sweep is flat and only the "
-        "identity half gates; CI's 4-vCPU runners enforce the "
-        "≥2x-at-4-shards criterion).")
+def _retired_section():
+    lines = ["## E13, E14, E18, E19 — system benches, retired", ""]
+    lines.extend("- %s" % line for line in _RETIRED)
     lines.append("")
     return lines
 
@@ -433,8 +351,7 @@ def main(out_path="EXPERIMENTS.md"):
     lines.extend(_artifact_sections())
     lines.extend(_matrix_section())
     lines.extend(_ingest_section())
-    lines.extend(_replication_section())
-    lines.extend(_shards_section())
+    lines.extend(_retired_section())
     with open(out_path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines))
     print("wrote %s" % out_path)

@@ -358,158 +358,3 @@ def ablation_lazy(n_points=None, w=DEFAULT_W, overlap_pct=30,
         tables.append(table)
     return tables
 
-
-def durability_overhead(n_points=None, w=DEFAULT_W, repeats=5,
-                        datasets=("BallSpeed", "KOB")):
-    """E14 — the durability tax: page-CRC verification cost on reads.
-
-    The write path always checksums; what a deployment pays per query
-    is the read-side verify.  This runs the two read shapes — a full
-    merged read (every page decoded) and the M4-LSM reduction (only
-    the pages the solver touches) — with ``verify_checksums`` on and
-    off, in two regimes:
-
-    * ``cold``: the reader pool is drained before every run, so each
-      query re-verifies every payload it touches — the worst case and
-      the true hashing tax (target < 5%);
-    * ``warm``: pooled readers survive across runs, so the
-      verify-once-per-reader cache absorbs the CRC after the first
-      query — the steady state a server actually lives in (~0%).
-
-    Both regimes take the best of ``repeats`` runs and must return
-    results identical to the unverified mode.
-    """
-    tables = []
-    for dataset in datasets:
-        table = BenchTable(
-            "Durability overhead (%s): read-side CRC verification"
-            % dataset,
-            ["path", "regime", "verify on (s)", "verify off (s)",
-             "overhead", "equal"])
-        with prepare_engine(dataset, n_points=n_points) as prepared:
-            engine = prepared.engine
-
-            def _drain():
-                # Pooled readers capture the verify flag (and their
-                # verified-payload cache) at construction: drain the
-                # pool so the next query starts from scratch.
-                for reader in list(engine._readers.values()):
-                    reader.close()
-                engine._readers.clear()
-
-            def _one(kind):
-                if kind == "full-read":
-                    operator = make_operator(prepared, "m4udf")
-                    started = time.perf_counter()
-                    result = operator.merged_series(
-                        prepared.series, prepared.t_qs, prepared.t_qe)
-                    return time.perf_counter() - started, result
-                operator = make_operator(prepared, "m4lsm")
-                run = timed_query(operator, prepared, w, repeats=1)
-                return run.seconds, run.result
-
-            def _timed(kind, verify, cold):
-                engine.config.verify_checksums = verify
-                _drain()
-                best = float("inf")
-                result = None
-                for _ in range(repeats):
-                    if cold:
-                        _drain()
-                    seconds, result = _one(kind)
-                    best = min(best, seconds)
-                return best, result
-
-            def _equal(kind, a, b):
-                if kind == "full-read":
-                    return (np.array_equal(a.timestamps, b.timestamps)
-                            and np.array_equal(a.values, b.values))
-                return a == b
-
-            try:
-                for kind in ("full-read", "m4-lsm"):
-                    for regime in ("cold", "warm"):
-                        on_s, on_result = _timed(kind, True,
-                                                 regime == "cold")
-                        off_s, off_result = _timed(kind, False,
-                                                   regime == "cold")
-                        table.add_row(kind, regime, on_s, off_s,
-                                      (on_s - off_s) / off_s,
-                                      _equal(kind, on_result, off_result))
-            finally:
-                engine.config.verify_checksums = True
-                _drain()
-        tables.append(table)
-    return tables
-
-
-def server_throughput(n_points=20_000, users=(1, 4, 16, 64), width=256,
-                      duration=1.0, timeout_ms=1000, workers=4,
-                      queue_depth=8, overload_factor=4.0,
-                      datasets=("BallSpeed", "KOB")):
-    """E13 — serving capacity: closed-loop user sweep + overload cell.
-
-    Boots a real :mod:`repro.server` over each dataset and drives it
-    with the pan/zoom session workload: one closed-loop cell per user
-    count (capacity curve), then one open-loop overload cell.  The
-    overload cell runs against a deliberately small serving shape
-    (1 worker, queue of 4, same engine) at ``overload_factor`` x the
-    measured single-user throughput — overload the *server* is certain
-    to feel and the load generator is certain to sustain.  It is the
-    serving design's acceptance check: the server must *shed* (503s,
-    not unbounded queueing) while the latency of accepted requests
-    stays bounded by the request deadline.
-    """
-    from ..server import ServerConfig, start_server
-    from ..server.workload import SessionWorkload
-    tables = []
-    for dataset in datasets:
-        table = BenchTable(
-            "Server throughput (%s): %d workers, queue %d, "
-            "deadline %dms (overload cell: 1 worker, queue 4)"
-            % (dataset, workers, queue_depth, timeout_ms),
-            ["mode", "users", "rate (req/s)", "total", "ok", "shed",
-             "timeout", "throughput (req/s)", "p50 (s)", "p95 (s)",
-             "p99 (s)", "shed rate"])
-        with prepare_engine(dataset, n_points=n_points) as prepared:
-            handle = start_server(
-                prepared.engine,
-                ServerConfig(port=0, quiet=True, workers=workers,
-                             queue_depth=queue_depth))
-            try:
-                single_user = 0.0
-                for n_users in users:
-                    workload = SessionWorkload(handle.url, width=width,
-                                               seed=n_users,
-                                               timeout_ms=timeout_ms)
-                    report = workload.run_closed(users=n_users,
-                                                 duration=duration)
-                    if n_users == min(users):
-                        single_user = report.throughput
-                    _add_workload_row(table, report)
-            finally:
-                handle.stop()
-            small = start_server(
-                prepared.engine,
-                ServerConfig(port=0, quiet=True, workers=1,
-                             queue_depth=4))
-            try:
-                rate = max(overload_factor * single_user, 50.0)
-                overload = SessionWorkload(small.url, width=width,
-                                           seed=0, timeout_ms=timeout_ms)
-                report = overload.run_open(rate, duration=duration,
-                                           users=0)
-                _add_workload_row(table, report)
-            finally:
-                small.stop()
-        tables.append(table)
-    return tables
-
-
-def _add_workload_row(table, report):
-    table.add_row(report.mode, report.users,
-                  report.rate if report.rate else "-",
-                  report.total, report.ok, report.shed, report.timeouts,
-                  report.throughput, report.percentile(0.50),
-                  report.percentile(0.95), report.percentile(0.99),
-                  report.shed_rate)

@@ -4,8 +4,7 @@ Every persisted benchmark result is one JSON document::
 
     {
       "schema": "repro-bench/1",
-      "kind": "matrix" | "server" | "durability" | "tiles"
-              | "replication" | "shards",
+      "kind": "matrix" | "tiles",
       "meta":  { git_sha, python, platform, machine, cpu_count,
                  machine_id, points, repeats, created_unix, ... },
       "rows":  [ {...}, ... ]          # kind-specific row fields
@@ -32,7 +31,8 @@ import time
 
 from ..errors import ReproError
 
-#: Current artifact schema version.  Bump only with a converter.
+#: Current artifact schema version.  Bumping it orphans every
+#: checked-in artifact, so rewrite them in the same change.
 SCHEMA_VERSION = "repro-bench/1"
 
 _NUM = (int, float)
@@ -60,28 +60,6 @@ ROW_FIELDS = {
         "io": dict,
         "identity": dict,
     },
-    "server": {
-        "experiment": str,
-        "mode": str,
-        "users": int,
-        "total": int,
-        "ok": int,
-        "shed": int,
-        "timeouts": int,
-        "throughput": _NUM,
-        "p50_seconds": _NUM,
-        "p95_seconds": _NUM,
-        "p99_seconds": _NUM,
-        "shed_rate": _NUM,
-    },
-    "durability": {
-        "experiment": str,
-        "path": str,
-        "regime": str,
-        "verify_on_seconds": _NUM,
-        "verify_off_seconds": _NUM,
-        "overhead": _NUM,
-    },
     "tiles": {
         "experiment": str,
         "pass": str,
@@ -91,32 +69,6 @@ ROW_FIELDS = {
         "p50_speedup": _NUM,
         "tile_hits": int,
         "tile_misses": int,
-        "identical": bool,
-    },
-    "shards": {
-        "experiment": str,
-        "shards": int,
-        "mode": str,
-        "users": int,
-        "total": int,
-        "ok": int,
-        "throughput": _NUM,
-        "p50_seconds": _NUM,
-        "p95_seconds": _NUM,
-        "speedup_vs_1": _NUM,
-        "identical": bool,
-    },
-    "replication": {
-        "experiment": str,
-        "scenario": str,
-        "ack_mode": str,
-        "rate_points_per_s": _NUM,
-        "points": int,
-        "achieved_points_per_s": _NUM,
-        "lag_records_p95": _NUM,
-        "final_lag_records": _NUM,
-        "catchup_seconds": _NUM,
-        "recovery_seconds": _NUM,
         "identical": bool,
     },
 }
@@ -164,8 +116,8 @@ def validate_artifact(doc, path=None):
     if not isinstance(doc, dict):
         _fail(path, "top level must be a JSON object")
     if "schema" not in doc:
-        _fail(path, "missing 'schema' (pre-schema artifact? run "
-                    "scripts/convert_bench_artifacts.py)")
+        _fail(path, "missing 'schema' (a pre-schema artifact; re-run "
+                    "the bench that wrote it)")
     if doc["schema"] != SCHEMA_VERSION:
         _fail(path, "schema %r is not %r" % (doc["schema"], SCHEMA_VERSION))
     kind = doc.get("kind")

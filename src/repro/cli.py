@@ -398,19 +398,6 @@ def build_parser():
                        help="wall-clock gating: auto = strict only "
                             "when both artifacts share a machine "
                             "fingerprint (I/O counters always gate)")
-    bench.add_argument("--shards-sweep", action="store_true",
-                       help="run the E19 shard-count scaling sweep "
-                            "(closed-loop server load at shards = "
-                            "1/2/4/8 + byte-identity checks) and write "
-                            "the artifact to --shards-out")
-    bench.add_argument("--shards-out",
-                       default="benchmarks/BENCH_shards.json",
-                       metavar="PATH",
-                       help="artifact path for --shards-sweep")
-    bench.add_argument("--shards-duration", type=float, default=2.0,
-                       metavar="SECONDS",
-                       help="closed-loop measurement window per shard "
-                            "count in the --shards-sweep")
     return parser
 
 
@@ -1015,25 +1002,9 @@ def _cmd_bench(args):
             print("%-55s %s" % (cell.config.cell_id,
                                 "[gated]" if cell.gate else ""))
         return 0
-    if args.shards_sweep:
-        import tempfile
-
-        from .bench import new_artifact
-        from .bench.shards import shard_scaling
-        points = args.points or int(os.environ.get(
-            "REPRO_BENCH_POINTS", "20000"))
-        with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
-            rows, table = shard_scaling(
-                tmp, n_points=points, duration=args.shards_duration,
-                progress=lambda msg: print(msg, flush=True))
-        write_artifact(args.shards_out,
-                       new_artifact("shards", rows, points))
-        print(table.render())
-        print("wrote %d rows to %s" % (len(rows), args.shards_out))
-        return 0
     if not args.matrix and not args.check:
-        print("error: nothing to do (pass --matrix, --check, "
-              "--shards-sweep or --list)", file=sys.stderr)
+        print("error: nothing to do (pass --matrix, --check or --list)",
+              file=sys.stderr)
         return 1
     current = None
     if args.matrix:

@@ -37,7 +37,6 @@ class StorageConfig:
     chunk_cache_points: int = 0       # shared decoded-page LRU (0 = off)
     metrics_enabled: bool = True      # repro.obs registry + span tracer
     slow_query_seconds: float = 1.0   # slow-query log threshold
-    verify_checksums: bool = True     # CRC-check page payloads on read
     degraded_reads: bool = True       # skip+flag quarantined chunks (False: raise)
     tile_cache_bytes: int = 0         # M4 tile LRU budget (0 = off)
     tile_cache_spans: int = 64        # spans (grid cells) per tile

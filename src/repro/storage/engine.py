@@ -577,10 +577,7 @@ class StorageEngine:
         Used by recovery and fsck, which manage the reader's lifetime
         themselves; queries go through the :meth:`tsfile_reader` pool.
         """
-        return TsFileReader(
-            path, self._stats,
-            verify_checksums=self._config.verify_checksums,
-            on_retry=self._on_io_retry)
+        return TsFileReader(path, self._stats, on_retry=self._on_io_retry)
 
     def tsfile_reader(self, path):
         """Pooled :class:`TsFileReader` for a sealed file.

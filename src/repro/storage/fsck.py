@@ -147,7 +147,7 @@ def _check_tsfile(report, path, known_series, verify_pages, registry):
         report.add("warning", path, "empty torn TsFile stub")
         return
     try:
-        reader = TsFileReader(path, verify_checksums=True)
+        reader = TsFileReader(path)
     except StorageError as exc:
         report.add("error", path, str(exc))
         return

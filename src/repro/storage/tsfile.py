@@ -22,7 +22,7 @@ points.
 
 Everything persisted is checksummed: the metadata section and footer
 carry CRC32s, and each page payload's CRC travels in its directory
-entry, verified on read (``verify_checksums``).  v1 (seed) files — no
+entry, verified on every page read.  v1 (seed) files — no
 inline headers, no CRCs, 20-byte footer — remain fully readable; the
 two formats are told apart by the magic bytes.  Transient ``EIO`` on
 reads is retried with capped exponential backoff
@@ -142,11 +142,10 @@ class TsFileReader:
     only contend for the read itself.  Every byte fetched and every page
     decoded is charged to ``stats``.
 
-    ``verify_checksums`` controls the per-payload CRC check on page
-    reads (v1 pages carry no CRC and are never checked).  A payload is
-    verified once per reader lifetime: TsFiles are immutable once
-    sealed, so a page that checked out keeps checking out for as long
-    as this handle lives, and repeat queries through a pooled reader
+    Every page payload is CRC-checked on read (v1 pages carry no CRC
+    and are never checked).  A payload is verified once per reader
+    lifetime: TsFiles are immutable once sealed, so a page that checked
+    out keeps checking out for as long as this handle lives, and repeat queries through a pooled reader
     skip the re-hash (``repro fsck`` always builds fresh readers and
     therefore always re-verifies).  ``on_retry`` is invoked as
     ``on_retry(attempt, exc)`` whenever a transient read error is
@@ -157,12 +156,10 @@ class TsFileReader:
     #: memory of a very long-lived reader over a huge file).
     VERIFIED_CACHE_MAX = 1 << 20
 
-    def __init__(self, path, stats=None, verify_checksums=True,
-                 on_retry=None, retry_attempts=4, retry_base_delay=0.005,
-                 retry_max_delay=0.1):
+    def __init__(self, path, stats=None, on_retry=None, retry_attempts=4,
+                 retry_base_delay=0.005, retry_max_delay=0.1):
         self._path = os.fspath(path)
         self._stats = stats if stats is not None else IoStats()
-        self._verify = verify_checksums
         self._verified = set()
         self._on_retry = on_retry
         self._retry_attempts = retry_attempts
@@ -364,7 +361,7 @@ class TsFileReader:
     def _decode(self, chunk_meta, payload, encoding, crc, what,
                 rel_offset=None):
         key = (chunk_meta.data_offset, rel_offset)
-        if self._verify and crc and key not in self._verified:
+        if crc and key not in self._verified:
             if zlib.crc32(payload) != crc:
                 raise CorruptFileError(
                     "%s: %s payload CRC mismatch in chunk @%d"

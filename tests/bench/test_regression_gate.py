@@ -201,7 +201,7 @@ class TestCheckCli:
         base = self.write(tmp_path / "base.json", artifact())
         cur = self.write(tmp_path / "cur.json", {"rows": [{}]})
         assert main(["bench", "--check", cur, "--baseline", base]) == 1
-        assert "convert_bench_artifacts" in capsys.readouterr().err
+        assert "pre-schema artifact" in capsys.readouterr().err
 
     def test_threshold_flag_respected(self, tmp_path, capsys):
         doc = artifact()

@@ -1,6 +1,8 @@
 """Unit tests for the versioned bench-artifact schema."""
 
+import glob
 import json
+import os
 
 import pytest
 
@@ -53,7 +55,7 @@ class TestValidate:
     def test_pre_schema_artifact_names_the_converter(self):
         with pytest.raises(SchemaError) as exc:
             validate_artifact({"rows": [matrix_row()]})
-        assert "convert_bench_artifacts" in str(exc.value)
+        assert "pre-schema artifact" in str(exc.value)
 
     def test_wrong_version_rejected(self):
         doc = matrix_doc()
@@ -176,3 +178,19 @@ class TestMeta:
         assert meta["points"] == 1234
         assert meta["repeats"] == 7
         assert meta["machine_id"] == machine_id()
+
+
+_BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "..",
+                          "benchmarks")
+_ARTIFACTS = sorted(os.path.basename(path) for path in
+                    glob.glob(os.path.join(_BENCH_DIR, "BENCH_*.json")))
+
+
+class TestRepoArtifacts:
+    def test_glob_finds_the_checked_in_artifacts(self):
+        assert {"BENCH_matrix.json", "BENCH_tiles.json"} <= set(_ARTIFACTS)
+
+    @pytest.mark.parametrize("name,kind", [
+        (name, name[len("BENCH_"):-len(".json")]) for name in _ARTIFACTS])
+    def test_checked_in_artifacts_are_schema_valid(self, name, kind):
+        load_artifact(os.path.join(_BENCH_DIR, name), kind=kind)

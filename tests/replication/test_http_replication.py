@@ -42,9 +42,13 @@ def test_replicated_ack_means_standby_has_it(make_pair):
         == content_fingerprint(pair.primary_engine)
 
 
-def test_stream_converges_and_lag_is_observable(make_pair):
-    pair = make_pair(ingest_ack="replicated")
+@pytest.mark.parametrize("ack", ["queued", "replicated"])
+def test_stream_converges_and_lag_is_observable(make_pair, ack):
+    pair = make_pair(ingest_ack=ack)
     stream(pair.client)
+    # A queued ack returns before the ship, so the lag drains after it.
+    assert wait_for(lambda: pair.client.replication_status()
+                    ["replicas"][0]["lag_records"] == 0)
     status = pair.client.replication_status()
     assert status["role"] == "primary"
     [replica] = status["replicas"]
@@ -53,6 +57,8 @@ def test_stream_converges_and_lag_is_observable(make_pair):
     standby_status = pair.standby_client.replication_status()
     assert standby_status["role"] == "standby"
     assert standby_status["standby"]["applied_seq"] == status["head_seq"]
+    assert content_fingerprint(pair.standby_engine) \
+        == content_fingerprint(pair.primary_engine)
     # Lag gauges are exported on both sides.
     stats = pair.client.stats()
     assert "replication" in stats

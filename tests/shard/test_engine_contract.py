@@ -70,8 +70,11 @@ def expected(tmp_path_factory):
         return out
 
 
-@pytest.fixture(scope="module", params=[1, 2], ids=["shards=1", "shards=2"])
+@pytest.fixture(scope="module", params=[1, 2, 4],
+                ids=["shards=1", "shards=2", "shards=4"])
 def store(request, tmp_path_factory):
+    # At 4 shards the names land on shards 2, 0, 2, 1: shard 3 owns
+    # nothing, so every call also crosses an idle worker.
     path = str(tmp_path_factory.mktemp("db%d" % request.param))
     with open_store(path, CONFIG, shards=request.param) as engine:
         assert engine.n_shards == request.param

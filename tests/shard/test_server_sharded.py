@@ -9,7 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.datasets.generators import PROFILES
 from repro.server import ReproClient, ServerConfig, start_server
+from repro.server.workload import SessionWorkload
 from repro.shard import open_store
 from repro.storage import StorageConfig, StorageEngine
 
@@ -159,3 +161,37 @@ class TestDeadline:
                                          timeout_ms=300, sleep_ms=30_000)
         assert response.status == 504
         assert time.monotonic() - t0 < 10.0
+
+
+def _closed_loop_throughput(root, shards):
+    """Requests/s of 8 closed-loop users over 2 s against a store of 8
+    series of 20,000 points cycling through the Table 2 profiles."""
+    datasets = ("BallSpeed", "MF03", "KOB", "RcvTime")
+    with open_store(root, StorageConfig(), shards=shards) as engine:
+        for seed in range(8):
+            name = "root.sweep%02d" % seed
+            t, v = PROFILES[datasets[seed % len(datasets)]].generate(
+                20_000, seed=seed)
+            engine.create_series(name)
+            engine.write_batch(name, t, v)
+        engine.flush_all()
+        handle = start_server(engine, ServerConfig(
+            port=0, quiet=True, workers=8, queue_depth=32))
+        try:
+            report = SessionWorkload(handle.url, width=256, seed=shards,
+                                     timeout_ms=2_000).run_closed(
+                                         users=8, duration=2.0)
+        finally:
+            handle.stop()
+    assert report.ok > 0
+    return report.throughput
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 4,
+                    reason="shard-per-core scaling needs >= 4 CPUs")
+def test_four_shards_double_closed_loop_throughput(tmp_path):
+    one = _closed_loop_throughput(str(tmp_path / "one"), 1)
+    four = _closed_loop_throughput(str(tmp_path / "four"), 4)
+    assert four >= 2.0 * one, (
+        "shards=4 reached only %.2fx of shards=1 (%d cpus)"
+        % (four / one, os.cpu_count()))

@@ -155,23 +155,6 @@ class TestTsFileChecksums:
             with pytest.raises(CorruptFileError):
                 reader.read_metadata()
 
-    def test_verify_can_be_disabled(self, tmp_path):
-        path = tmp_path / "x.tsfile"
-        block, meta, t, _v = make_chunk()
-        with TsFileWriter(path) as writer:
-            located = writer.append_chunk(block, meta)
-        data = bytearray(path.read_bytes())
-        data[located.data_offset + 5] ^= 0x10
-        path.write_bytes(bytes(data))
-        with TsFileReader(path, verify_checksums=False) as reader:
-            meta = reader.read_metadata()[0]
-            # may decode to wrong values or raise on undecodable bytes;
-            # the point is the CRC gate is off.
-            try:
-                reader.read_chunk_arrays(meta)
-            except CorruptFileError:
-                pass
-
     def test_transient_eio_is_retried(self, tmp_path):
         path = tmp_path / "x.tsfile"
         block, meta, t, v = make_chunk()
