@@ -1,6 +1,6 @@
 """Documentation health checks, run in CI and by tests/test_docs.py.
 
-Four checks, all cheap and dependency-free:
+Five checks, all cheap and dependency-free:
 
 1. **Markdown link check** — every relative link in the repo's
    markdown files must point at a file (or directory) that exists.
@@ -17,6 +17,10 @@ Four checks, all cheap and dependency-free:
    ``repro serve`` and ``repro loadgen`` flag tables of
    docs/OPERATIONS.md (§1.1, §1.2) must equal the default that
    ``repro.cli.build_parser()`` gives that flag.
+5. **Config-default check** — the Storage configuration table of
+   docs/OPERATIONS.md has exactly one row per ``StorageConfig`` field,
+   and each Default cell equals that field's default, so a retired
+   setting cannot linger in the docs.
 
 Usage::
 
@@ -29,6 +33,8 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import glob
 import importlib
 import os
@@ -56,7 +62,6 @@ PYDOC_MODULES = (
     "repro.cli",
     "repro.core.result",
     "repro.core.tiles",
-    "repro.core.tiles_io",
     "repro.core.m4lsm.operator",
     "repro.storage.engine",
     "repro.storage.config",
@@ -180,6 +185,55 @@ def check_flag_defaults(root=ROOT, rel="docs/OPERATIONS.md"):
     return problems
 
 
+CONFIG_TABLE = "### Storage configuration"
+
+_CONFIG_ROW = re.compile(r"^\| `(\w+)` \| `([^`|]*)` \|")
+
+
+def _config_cell(value):
+    """A ``StorageConfig`` default as the docs table writes it."""
+    if isinstance(value, enum.Enum):
+        return value.name
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
+def check_config_defaults(root=ROOT, rel="docs/OPERATIONS.md"):
+    """Return a list of "file: field" strings where the Storage
+    configuration table and ``dataclasses.fields(StorageConfig)``
+    disagree: a missing row, a row naming no field, or a wrong
+    default."""
+    from repro.storage.config import StorageConfig
+
+    defaults = {field.name: _config_cell(field.default)
+                for field in dataclasses.fields(StorageConfig)}
+    with open(os.path.join(root, rel), "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    rows = {}
+    in_table = False
+    for line in lines:
+        if line.startswith("#"):
+            in_table = line.strip() == CONFIG_TABLE
+            continue
+        match = _CONFIG_ROW.match(line) if in_table else None
+        if match is not None:
+            rows[match.group(1)] = match.group(2)
+    problems = []
+    for name, cell in rows.items():
+        if name not in defaults:
+            problems.append("%s: %s is not a StorageConfig field"
+                            % (rel, name))
+        elif cell != defaults[name]:
+            problems.append("%s: %s default is %s, StorageConfig says %s"
+                            % (rel, name, cell, defaults[name]))
+    for name in defaults:
+        if name not in rows:
+            problems.append("%s: StorageConfig field %s has no row in %r"
+                            % (rel, name, CONFIG_TABLE))
+    return problems
+
+
 def check_pydoc(modules=PYDOC_MODULES):
     """Return a list of "module: error" strings for unrenderable docs."""
     import pydoc
@@ -198,7 +252,7 @@ def check_pydoc(modules=PYDOC_MODULES):
 
 def main():
     problems = (check_links() + check_pydoc() + check_dotted_names()
-                + check_flag_defaults())
+                + check_flag_defaults() + check_config_defaults())
     for problem in problems:
         print("docs check: %s" % problem, file=sys.stderr)
     if not problems:

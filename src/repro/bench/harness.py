@@ -132,18 +132,10 @@ class QueryTiming:
     samples: tuple = ()  # every repeat's wall-clock, for noise floors
 
     def as_row(self):
-        """A JSON-able row for BENCH_*.json result files.
-
-        Cache effectiveness is surfaced explicitly: the shared
-        ChunkCache's hits/misses now flow through IoStats, so every
-        bench row reports them even though the cache counts internally.
-        """
-        stats = self.stats.as_dict() if self.stats is not None else {}
+        """A JSON-able row for BENCH_*.json result files."""
         return {
             "seconds": self.seconds,
-            "stats": stats,
-            "cache_hits": stats.get("cache_hits", 0),
-            "cache_misses": stats.get("cache_misses", 0),
+            "stats": self.stats.as_dict() if self.stats is not None else {},
             "metrics": self.metrics,
         }
 

@@ -434,7 +434,7 @@ class TileCache:
 
     def snapshot(self):
         """LRU-ordered list of ``(series, level, tile, entry)`` tuples
-        (oldest first) — the persistence layer's view of the cache."""
+        (oldest first), for inspecting the cache."""
         with self._lock:
             return [(k[0], k[1], k[2], e) for k, e in self._entries.items()]
 

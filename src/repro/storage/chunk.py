@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 
 from ..core.index import StepRegression
-from ..errors import StorageError, StepRegressionError
+from ..errors import EncodingError, StorageError, StepRegressionError
 from .config import DEFAULT_CONFIG
 from .encoding import Compression, Encoding, encode_page
 from .page import PageMetadata, split_rows
@@ -120,11 +120,23 @@ class ChunkMetadata:
             raise StorageError("truncated chunk index bytes")
         offset += index_len
         meta = cls(series_id, int(version), stats, tuple(pages),
-                   Encoding(time_enc), Encoding(value_enc),
-                   Compression(compression), index_bytes,
+                   _tag(Encoding, time_enc, "time_encoding"),
+                   _tag(Encoding, value_enc, "value_encoding"),
+                   _tag(Compression, compression, "compression"),
+                   index_bytes,
                    file_path=file_path, data_offset=data_offset,
                    data_length=data_length)
         return meta, offset
+
+
+def _tag(enum_cls, value, field):
+    """``enum_cls(value)``, or :class:`EncodingError` naming the field
+    for a retired or unknown tag (e.g. the old RLE/GORILLA tags 2, 3)."""
+    try:
+        return enum_cls(value)
+    except ValueError:
+        raise EncodingError("chunk metadata: unknown %s tag %d"
+                            % (field, value)) from None
 
 
 def write_chunk(series_id, version, timestamps, values, config=DEFAULT_CONFIG):
@@ -164,7 +176,7 @@ def write_chunk(series_id, version, timestamps, values, config=DEFAULT_CONFIG):
         cursor += len(time_payload) + len(value_payload)
 
     index_bytes = b""
-    if config.build_chunk_index and t.size >= 2:
+    if t.size >= 2:
         try:
             index_bytes = StepRegression.fit(t).to_bytes()
         except StepRegressionError:

@@ -32,16 +32,11 @@ class StorageConfig:
     time_encoding: Encoding = Encoding.TS_2DIFF
     value_encoding: Encoding = Encoding.PLAIN
     compression: Compression = Compression.NONE
-    build_chunk_index: bool = True    # step regression index at flush time
-    enable_wal: bool = True           # write-ahead log for buffered points
-    chunk_cache_points: int = 0       # shared decoded-page LRU (0 = off)
     metrics_enabled: bool = True      # repro.obs registry + span tracer
     slow_query_seconds: float = 1.0   # slow-query log threshold
     degraded_reads: bool = True       # skip+flag quarantined chunks (False: raise)
     tile_cache_bytes: int = 0         # M4 tile LRU budget (0 = off)
     tile_cache_spans: int = 64        # spans (grid cells) per tile
-    tile_cache_persist: bool = False  # snapshot tiles.cache on close
-    tile_incremental: bool = True     # tail appends dirty cells, not tiles
 
     def __post_init__(self):
         if self.avg_series_point_number_threshold <= 0:
@@ -53,8 +48,6 @@ class StorageConfig:
             self.points_per_page = self.avg_series_point_number_threshold
         if self.chunks_per_tsfile <= 0:
             raise ValueError("chunks_per_tsfile must be positive")
-        if self.chunk_cache_points < 0:
-            raise ValueError("chunk_cache_points must be >= 0")
         if self.tile_cache_bytes < 0:
             raise ValueError("tile_cache_bytes must be >= 0")
         if self.tile_cache_spans < 1:

@@ -8,47 +8,19 @@ Public surface:
 * individual codecs (:func:`encode_plain`, ...) for direct use and tests
 """
 
-from .bits import BitReader, BitWriter
-from .gorilla import decode_gorilla, encode_gorilla
 from .plain import decode_plain, encode_plain
 from .registry import Compression, Encoding, decode_page, encode_page
-from .rle import decode_rle, encode_rle, run_length_split
 from .ts2diff import decode_ts2diff, encode_ts2diff, pack_uint64, unpack_uint64
-from .varint import (
-    encode_signed,
-    encode_unsigned,
-    read_signed_varint,
-    read_unsigned_varint,
-    write_signed_varint,
-    write_unsigned_varint,
-    zigzag_decode,
-    zigzag_encode,
-)
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "Compression",
     "Encoding",
-    "decode_gorilla",
     "decode_page",
     "decode_plain",
-    "decode_rle",
     "decode_ts2diff",
-    "encode_gorilla",
     "encode_page",
     "encode_plain",
-    "encode_rle",
-    "encode_signed",
     "encode_ts2diff",
-    "encode_unsigned",
     "pack_uint64",
-    "read_signed_varint",
-    "read_unsigned_varint",
-    "run_length_split",
     "unpack_uint64",
-    "write_signed_varint",
-    "write_unsigned_varint",
-    "zigzag_decode",
-    "zigzag_encode",
 ]

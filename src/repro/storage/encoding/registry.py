@@ -11,19 +11,19 @@ import enum
 import zlib
 
 from ...errors import EncodingError
-from .gorilla import decode_gorilla, encode_gorilla
 from .plain import decode_plain, encode_plain
-from .rle import decode_rle, encode_rle
 from .ts2diff import decode_ts2diff, encode_ts2diff
 
 
 class Encoding(enum.IntEnum):
-    """Page encodings, mirroring Apache IoTDB's TSEncoding set."""
+    """Page encodings, a subset of Apache IoTDB's TSEncoding set.
+
+    Tags 2 and 3 (RLE, GORILLA) are retired and never reused: a page
+    written with them fails to decode with :class:`EncodingError`.
+    """
 
     PLAIN = 0
     TS_2DIFF = 1
-    RLE = 2
-    GORILLA = 3
 
 
 class Compression(enum.IntEnum):
@@ -36,15 +36,11 @@ class Compression(enum.IntEnum):
 _ENCODERS = {
     Encoding.PLAIN: encode_plain,
     Encoding.TS_2DIFF: encode_ts2diff,
-    Encoding.RLE: encode_rle,
-    Encoding.GORILLA: encode_gorilla,
 }
 
 _DECODERS = {
     Encoding.PLAIN: decode_plain,
     Encoding.TS_2DIFF: decode_ts2diff,
-    Encoding.RLE: decode_rle,
-    Encoding.GORILLA: decode_gorilla,
 }
 
 

@@ -37,7 +37,6 @@ import numpy as np
 from ..errors import InvalidValueError, SeriesNotFoundError, StorageError
 from ..obs import MetricsRegistry, SlowQueryLog, TraceStore, Tracer
 from . import faultfs
-from .cache import ChunkCache
 from .catalog import CatalogFile
 from .chunk import write_chunk
 from .compaction import compact_all
@@ -136,11 +135,7 @@ class StorageEngine:
         self._mods = ModsFile(os.path.join(self._data_dir, "deletes.mods"))
         self._catalog = CatalogFile(os.path.join(self._data_dir,
                                                  "catalog.meta"))
-        self._wal = WalManager(self._data_dir, self._metrics) \
-            if config.enable_wal else None
-        self._chunk_cache = ChunkCache(config.chunk_cache_points,
-                                       stats=self._stats) \
-            if config.chunk_cache_points > 0 else None
+        self._wal = WalManager(self._data_dir, self._metrics)
         self._quarantine = QuarantineRegistry(self._data_dir,
                                               self._metrics)
         #: Replication log (attach_replication): when set, every
@@ -159,8 +154,6 @@ class StorageEngine:
         if self._has_persisted_state():
             from .recovery import recover_engine_state
             self.recovery_summary = recover_engine_state(self)
-        if self._tile_cache is not None and config.tile_cache_persist:
-            self._load_tiles()
 
     def _has_persisted_state(self):
         """Does the directory hold any prior session's data?
@@ -175,7 +168,7 @@ class StorageEngine:
         from .recovery import list_tsfiles
         if list_tsfiles(self._data_dir):
             return True
-        return self._wal is not None and bool(self._wal.segment_paths())
+        return bool(self._wal.segment_paths())
 
     # -- schema ---------------------------------------------------------------------
 
@@ -397,9 +390,8 @@ class StorageEngine:
         state = self._state(name)
         _reject_nan(name, v)
         with state.lock.write():
-            if self._wal is not None:
-                self._wal.segment(state.series_id).append(state.series_id,
-                                                          int(t), float(v))
+            self._wal.segment(state.series_id).append(state.series_id,
+                                                      int(t), float(v))
             before_max = self._series_max_time(state)
             state.memtable.append(int(t), float(v))
             state.points_written += 1
@@ -430,11 +422,9 @@ class StorageEngine:
         _reject_nan(name, values)
         with self._tracer.span("write.batch", series=name):
             with state.lock.write():
-                if self._wal is not None:
-                    segment = self._wal.segment(state.series_id)
-                    segment.append_batch(state.series_id, timestamps,
-                                         values)
-                    segment.sync()
+                segment = self._wal.segment(state.series_id)
+                segment.append_batch(state.series_id, timestamps, values)
+                segment.sync()
                 before = len(state.memtable)
                 before_max = self._series_max_time(state)
                 state.memtable.append_batch(timestamps, values)
@@ -513,8 +503,6 @@ class StorageEngine:
         """
         if self._replication is not None:
             self._replication.record_flush(state.series_id)
-        if self._wal is None:
-            return
         segment = self._wal.segment(state.series_id)
         if not state.memtable:
             segment.rotate()
@@ -626,11 +614,6 @@ class StorageEngine:
         return MetadataReader(self.chunks_for(name), self._stats)
 
     @property
-    def chunk_cache(self):
-        """The shared decoded-page cache (None when disabled)."""
-        return self._chunk_cache
-
-    @property
     def quarantine(self):
         """The engine's :class:`QuarantineRegistry` of damaged chunks."""
         return self._quarantine
@@ -681,7 +664,7 @@ class StorageEngine:
         out-of-order writes fall back to overlap invalidation.
         """
         if self._tile_cache is not None:
-            if self._config.tile_incremental and lo > before_max:
+            if lo > before_max:
                 self._tile_cache.mark_dirty(state.name, lo, hi)
             else:
                 self._tile_cache.invalidate(state.name, lo, hi)
@@ -721,70 +704,10 @@ class StorageEngine:
             self._tile_cache.invalidate(state.name, int(start),
                                         int(end) + 1)
 
-    def _tile_fingerprint(self):
-        """Per-series data-version + quarantine fingerprint.
-
-        Persisted with the tile snapshot and compared on load: a series
-        whose chunk/delete versions moved (or any quarantine change)
-        marks its tiles stale.  Conservative by construction — false
-        mismatches only cost recomputation.
-        """
-        series = {}
-        for name in self.series_names():
-            state = self._state(name)
-            with state.lock.read():
-                series[name] = [
-                    len(state.chunks),
-                    max((int(c.version) for c in state.chunks), default=0),
-                    len(state.deletes),
-                    max((int(d.version) for d in state.deletes), default=0),
-                ]
-        quarantine = [[e["file"], e["data_offset"]]
-                      for e in self._quarantine.entries()]
-        return {"series": series, "quarantine": quarantine}
-
-    def _tiles_path(self):
-        from ..core.tiles_io import FILENAME
-        return os.path.join(self._data_dir, FILENAME)
-
-    def _load_tiles(self):
-        """Revive the persisted tile snapshot (stale entries dropped)."""
-        from ..core.tiles_io import load_tiles
-        entries, warnings = load_tiles(self._tiles_path(),
-                                       self._tile_fingerprint(),
-                                       self._config.tile_cache_spans)
-        for warning in warnings:
-            log.warning("%s", warning)
-            self._metrics.counter("tile_cache_load_warnings_total").inc()
-        for series, level, tile, entry in entries:
-            self._tile_cache.insert(series, level, tile, entry,
-                                    self._tile_cache.epoch(series))
-
-    def _persist_tiles(self):
-        """Snapshot the tile cache next to the data files (best-effort,
-        atomic; see ``repro.core.tiles_io``)."""
-        if self._tile_cache is None \
-                or not self._config.tile_cache_persist:
-            return
-        from ..core.tiles_io import save_tiles
-        # Dirty tiles need a repair pass before they can be served;
-        # persisting them would revive un-repairable entries (the
-        # snapshot format has no dirty column), so drop them here.
-        snapshot = [rec for rec in self._tile_cache.snapshot()
-                    if not rec[3].dirty]
-        save_tiles(self._tiles_path(), snapshot,
-                   self._tile_fingerprint(),
-                   self._config.tile_cache_spans)
-
     def data_reader(self):
-        """A fresh :class:`DataReader`.
-
-        Each reader has its own per-query decoded-page map; when the
-        engine's shared :class:`ChunkCache` is enabled it backs all
-        readers, so repeated queries skip decoding.
-        """
-        return DataReader(self.tsfile_reader, self._stats,
-                          shared_cache=self._chunk_cache)
+        """A fresh :class:`DataReader` with its own per-query
+        decoded-page map."""
+        return DataReader(self.tsfile_reader, self._stats)
 
     def total_points(self, name):
         """Latest-point count of the merged series (loads everything)."""
@@ -889,9 +812,7 @@ class StorageEngine:
         valid) or fail with a clean :class:`StorageError` /
         ``ValueError`` when they next touch a released file handle —
         never a crash or a deadlock, because teardown never waits on a
-        series lock.  (With ``tile_cache_persist`` on, the post-teardown
-        tile snapshot briefly takes series *read* locks for its
-        fingerprint — still deadlock-free: no other lock is held.)
+        series lock.
         """
         with self._lock:
             if self._closed:
@@ -901,9 +822,7 @@ class StorageEngine:
             for reader in self._readers.values():
                 reader.close()
             self._readers.clear()
-            if self._wal is not None:
-                self._wal.close()
-        self._persist_tiles()
+            self._wal.close()
         self._persist_obs()
 
     def __enter__(self):

@@ -21,7 +21,7 @@ import dataclasses
 import json
 import os
 
-from ..errors import CorruptFileError, StorageError
+from ..errors import CorruptFileError, EncodingError, StorageError
 from .catalog import CatalogFile
 from .config import TOPOLOGY_FILE
 from .mods import ModsFile
@@ -154,6 +154,9 @@ def _check_tsfile(report, path, known_series, verify_pages, registry):
     with reader:
         try:
             metadata = reader.read_metadata()
+        except EncodingError as exc:    # a retired or unknown codec tag
+            report.add("error", path, str(exc))
+            return
         except CorruptFileError as exc:
             if reader.format_version < 2:
                 report.add("error", path, str(exc))
@@ -264,15 +267,4 @@ def fsck_store(data_dir, quarantine=False, verify_pages=True):
     _check_json(report, os.path.join(data_dir, QUARANTINE_FILENAME),
                 "quarantine registry")
 
-    # 6. Tile cache snapshot (derived data: damage is never an error —
-    # the cache silently recomputes — but fsck surfaces it).
-    from ..core.tiles_io import FILENAME as TILES_FILENAME
-    from ..core.tiles_io import load_tiles
-    tiles_path = os.path.join(data_dir, TILES_FILENAME)
-    if os.path.exists(tiles_path):
-        report.files_checked += 1
-        _entries, tile_warnings = load_tiles(tiles_path, None, None)
-        for warning in tile_warnings:
-            report.add("warning", tiles_path,
-                       warning.replace("%s: " % tiles_path, "", 1))
     return report

@@ -32,8 +32,6 @@ class IoStats:
     index_lookups: int = 0         # chunk-index probe operations
     candidate_iterations: int = 0  # M4-LSM (span, function) pairs per
                                    # round after the first
-    cache_hits: int = 0            # shared ChunkCache hits
-    cache_misses: int = 0          # shared ChunkCache misses
 
     def __post_init__(self):
         # Not a dataclass field, so reset/diff/as_dict never touch it.

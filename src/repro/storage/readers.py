@@ -60,12 +60,11 @@ class DataReader:
         stats: shared :class:`IoStats` (same one the TsFileReaders charge).
     """
 
-    def __init__(self, reader_pool, stats=None, shared_cache=None):
+    def __init__(self, reader_pool, stats=None):
         self._reader_pool = reader_pool
         self._stats = stats
         self._page_cache = {}
         self._page_lock = threading.Lock()
-        self._shared_cache = shared_cache
 
     # -- page / chunk loading ---------------------------------------------------
 
@@ -89,8 +88,7 @@ class DataReader:
             .read_page_values(chunk_meta, page_index))
 
     def _cached_page(self, key, decode):
-        """Per-query map first, then the engine's shared cache, then
-        an actual (counted) decode.
+        """Per-query map first, then an actual (counted) decode.
 
         Thread-safe: the per-query map is guarded by a lock, and the
         decode itself runs outside it, so threads sharing a reader never
@@ -101,13 +99,7 @@ class DataReader:
         with self._page_lock:
             if key in self._page_cache:
                 return self._page_cache[key]
-        array = None
-        if self._shared_cache is not None:
-            array = self._shared_cache.get(key)
-        if array is None:
-            array = decode()
-            if self._shared_cache is not None:
-                self._shared_cache.put(key, array)
+        array = decode()
         with self._page_lock:
             return self._page_cache.setdefault(key, array)
 

@@ -159,18 +159,16 @@ def recover_engine_state(engine):
 
         # 4. Unflushed points from the WAL.
         n_replayed = 0
-        if engine._wal is not None:
-            with tracer.span("recovery.wal") as span:
-                for series_id, t, v in engine._wal.replay_all():
-                    state = engine._series_by_id.get(series_id)
-                    if state is None:
-                        raise CorruptFileError(
-                            "WAL references unknown series id %d"
-                            % series_id)
-                    state.memtable.append(t, v)
-                    state.points_written += 1
-                    n_replayed += 1
-                span.attrs["wal_points"] = n_replayed
+        with tracer.span("recovery.wal") as span:
+            for series_id, t, v in engine._wal.replay_all():
+                state = engine._series_by_id.get(series_id)
+                if state is None:
+                    raise CorruptFileError(
+                        "WAL references unknown series id %d" % series_id)
+                state.memtable.append(t, v)
+                state.points_written += 1
+                n_replayed += 1
+            span.attrs["wal_points"] = n_replayed
 
         engine._restore_counters(max_version, max_seq)
         summary = {

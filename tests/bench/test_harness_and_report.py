@@ -86,9 +86,7 @@ class TestHarness:
             row = run.as_row()
             assert row["seconds"] == run.seconds
             assert row["stats"]["metadata_reads"] > 0
-            # Cache counters always present (0 when the cache is off).
-            assert row["cache_hits"] == row["stats"]["cache_hits"]
-            assert row["cache_misses"] == row["stats"]["cache_misses"]
+            assert set(row) == {"seconds", "stats", "metrics"}
             # The metrics snapshot rides along with every bench row.
             counters = row["metrics"]["counters"]
             assert counters["engine_points_written_total"]["value"] \

@@ -1,10 +1,10 @@
 """Targeted race regressions, one test per historical hazard.
 
 Each test pins down a specific interleaving the thread-safety layer
-must survive: cache eviction racing gets, flush racing queries,
-concurrent flush_all, racing series creation, and concurrent obs.json
-persistence (which must never leave a torn file).  Interleavings are
-explored with seeded jitter so a failing seed can be replayed.
+must survive: flush racing queries, concurrent flush_all, racing
+series creation, and concurrent obs.json persistence (which must never
+leave a torn file).  Interleavings are explored with seeded jitter so a
+failing seed can be replayed.
 """
 
 from __future__ import annotations
@@ -17,54 +17,8 @@ import pytest
 
 from repro.core.m4lsm import M4LSMOperator
 from repro.storage import StorageConfig, StorageEngine
-from repro.storage.cache import ChunkCache
-from repro.storage.iostats import IoStats
 
 from .harness import Interleaver, run_threads
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cache_eviction_vs_get(seed):
-    """Concurrent get/put with constant eviction pressure.
-
-    The capacity bound and the hit+miss accounting must hold exactly:
-    a lost update would show up as hits+misses != total gets, a racy
-    eviction as points > capacity.
-    """
-    stats = IoStats()
-    cache = ChunkCache(capacity_points=500, stats=stats)
-    interleave = Interleaver(seed)
-    n_threads, n_ops = 8, 400
-    arrays = {k: np.arange(k % 90 + 10) for k in range(60)}
-
-    def worker(index):
-        jitter = interleave.stream(index)
-        rng = np.random.default_rng((seed, index))
-
-        def work():
-            gets = 0
-            for _ in range(n_ops):
-                key = int(rng.integers(0, len(arrays)))
-                if rng.random() < 0.5:
-                    got = cache.get(key)
-                    gets += 1
-                    if got is not None:
-                        # Cached arrays are immutable and intact.
-                        assert got.size == key % 90 + 10
-                else:
-                    cache.put(key, arrays[key])
-                assert cache.points <= cache.capacity
-                jitter()
-            return gets
-        return work
-
-    total_gets = sum(run_threads([worker(i) for i in range(n_threads)]))
-    counts = cache.stats()
-    assert counts["hits"] + counts["misses"] == total_gets
-    assert counts["points"] <= cache.capacity
-    # The IoStats mirror saw every event too (atomic add, no loss).
-    assert stats.cache_hits == counts["hits"]
-    assert stats.cache_misses == counts["misses"]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -13,9 +13,6 @@ Two regimes, both at 8 threads x 100 iterations:
   shared state (plus flush_all calls); afterwards the store must hold
   exactly the written points minus the deleted ranges, with both
   operators agreeing.
-
-Every run uses a shared ChunkCache, so cache eviction races against
-the engine locks too.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ W = 16                   # spans per stress query
 
 def _config():
     return StorageConfig(avg_series_point_number_threshold=THRESHOLD,
-                         points_per_page=20, chunk_cache_points=2_000)
+                         points_per_page=20)
 
 
 def _value_of(t):

@@ -77,23 +77,6 @@ class TestTailAppendRepair:
             expected = M4LSMOperator(engine).query("s", start, end, 128)
             assert tiled.query("s", start, end, 128) == expected
 
-    def test_incremental_disabled_invalidates_but_stays_correct(
-            self, tmp_path):
-        """``tile_incremental=False`` routes tail appends through the
-        plain overlap-drop; answers are unchanged either way."""
-        with _make_engine(tmp_path, tile_incremental=False) as engine:
-            engine.create_series("s")
-            _load(engine, 0, 1500)
-            start, end = snap_viewport(0, 2048, 128)
-            tiled = TiledM4Operator(engine)
-            tiled.query("s", start, end, 128)
-            _load(engine, 1500, 1900)
-            assert _counter(engine, "tile_cache_dirty_marks_total") == 0
-            assert _counter(engine,
-                            "tile_cache_invalidations_total") > 0
-            expected = M4LSMOperator(engine).query("s", start, end, 128)
-            assert tiled.query("s", start, end, 128) == expected
-
 
 @pytest.mark.parametrize("dataset", ["BallSpeed", "MF03", "KOB", "RcvTime"])
 def test_growth_byte_identity(dataset):
@@ -171,29 +154,3 @@ def test_pixel_identity_after_appends(tmp_path):
                 assert len(engine.tile_cache) > 0
             matrices.append(matrix)
     assert np.array_equal(matrices[0], matrices[1])
-
-
-def test_persistence_drops_dirty_tiles(tmp_path):
-    """The tile snapshot has no dirty column: a dirty tile must not be
-    revived (it would serve pre-append spans); clean tiles are."""
-    db = tmp_path / "db"
-    config = StorageConfig(avg_series_point_number_threshold=200,
-                           tile_cache_bytes=8 * 1024 * 1024,
-                           tile_cache_spans=16, tile_cache_persist=True)
-    engine = StorageEngine(db, config)
-    engine.create_series("s")
-    _load(engine, 0, 1500)
-    start, end = snap_viewport(0, 2048, 128)
-    TiledM4Operator(engine).query("s", start, end, 128)
-    assert len(engine.tile_cache) == 8
-    _load(engine, 1500, 1600)  # dirties tiles 5 and 6
-    engine.close()             # persists the 6 clean tiles only
-
-    engine = StorageEngine(db, config)
-    try:
-        assert len(engine.tile_cache) == 6
-        expected = M4LSMOperator(engine).query("s", start, end, 128)
-        assert TiledM4Operator(engine).query("s", start, end, 128) \
-            == expected
-    finally:
-        engine.close()

@@ -12,7 +12,7 @@ import pytest
 from repro.core import M4LSMOperator, M4UDFOperator
 from repro.storage import Compression, Encoding, StorageConfig, StorageEngine
 
-VALUE_ENCODINGS = (Encoding.PLAIN, Encoding.GORILLA, Encoding.RLE)
+VALUE_ENCODINGS = (Encoding.PLAIN,)
 TIME_ENCODINGS = (Encoding.TS_2DIFF, Encoding.PLAIN)
 COMPRESSIONS = (Compression.NONE, Compression.ZLIB)
 
@@ -70,20 +70,3 @@ def test_zlib_actually_shrinks_files(tmp_path):
             sizes[name] = sum(
                 meta.data_length for meta in engine.chunks_for("s"))
     assert sizes["zlib"] < sizes["raw"]
-
-
-def test_gorilla_beats_plain_on_slow_signals(tmp_path):
-    t = np.arange(5000, dtype=np.int64)
-    v = np.full(5000, 42.125)
-    sizes = {}
-    for name, encoding in (("plain", Encoding.PLAIN),
-                           ("gorilla", Encoding.GORILLA)):
-        config = StorageConfig(avg_series_point_number_threshold=1000,
-                               value_encoding=encoding)
-        with StorageEngine(tmp_path / name, config) as engine:
-            engine.create_series("s")
-            engine.write_batch("s", t, v)
-            engine.flush_all()
-            sizes[name] = sum(
-                meta.data_length for meta in engine.chunks_for("s"))
-    assert sizes["gorilla"] < sizes["plain"] / 5

@@ -174,27 +174,6 @@ class TestEngineMetrics:
         assert metrics.histogram("query_seconds", kind="m4").count == 1
         assert metrics.gauge("engine_series").value == 1
 
-    def test_cache_hits_and_misses_flow_through_iostats(self, tmp_path):
-        config = StorageConfig(avg_series_point_number_threshold=50,
-                               points_per_page=20,
-                               chunk_cache_points=100_000)
-        with StorageEngine(tmp_path / "db", config) as engine:
-            engine.create_series("s")
-            t = np.arange(500, dtype=np.int64)
-            engine.write_batch("s", t, t.astype(float))
-            engine.flush_all()
-            executor = Executor(engine)
-            parsed = parse_sql(
-                "SELECT M4(s) FROM s GROUP BY SPANS(5) USING M4UDF")
-            executor.execute(parsed)
-            assert engine.stats.cache_misses > 0
-            before = engine.stats.snapshot()
-            executor.execute(parsed)
-            diff = engine.stats.diff(before)
-            # The second pass is served by the shared cache.
-            assert diff.cache_hits > 0
-            assert diff.cache_misses == 0
-
     def test_disabled_metrics_record_nothing(self, tmp_path):
         config = StorageConfig(metrics_enabled=False)
         with StorageEngine(tmp_path / "db", config) as engine:

@@ -1,18 +1,13 @@
 """Property-based concurrency tests.
 
-Two properties the thread-safety layer must uphold for *any* workload,
-not just the hand-picked stress schedules:
-
-* **per-series linearizability** — threads applying arbitrary op
-  sequences (write batches and deletes) to their own series
-  concurrently must leave each series in exactly the state produced by
-  running that thread's sequence alone on a solo engine.  Cross-thread
-  interleaving shifts global version numbers around, but per-series
-  version order follows program order, so the merged output is
-  invariant.
-* **ChunkCache invariants** — under arbitrary concurrent get/put
-  streams the points budget is never exceeded and hit+miss accounting
-  matches the number of gets exactly (no lost updates).
+The property the thread-safety layer must uphold for *any* workload,
+not just the hand-picked stress schedules, is **per-series
+linearizability**: threads applying arbitrary op sequences (write
+batches and deletes) to their own series concurrently must leave each
+series in exactly the state produced by running that thread's sequence
+alone on a solo engine.  Cross-thread interleaving shifts global
+version numbers around, but per-series version order follows program
+order, so the merged output is invariant.
 
 Thread scheduling is an input Hypothesis cannot minimize, so examples
 stay few and small: the value here is many *shapes* of op sequences,
@@ -28,8 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage import StorageConfig, StorageEngine
-from repro.storage.cache import ChunkCache
-from repro.storage.iostats import IoStats
 
 
 def _op_sequence():
@@ -108,43 +101,3 @@ def test_concurrent_equals_sequential_per_series(tmp_path_factory,
             _apply(solo, name, ops)
             assert _final_state(solo, name) == concurrent_states[name], \
                 "series %s diverged from its sequential replay" % name
-
-
-@given(st.integers(50, 400),
-       st.lists(st.tuples(st.booleans(), st.integers(0, 30)),
-                min_size=1, max_size=60),
-       st.integers(0, 4))
-@settings(max_examples=15, deadline=None)
-def test_chunk_cache_invariants_under_concurrency(capacity, ops, seed):
-    stats = IoStats()
-    cache = ChunkCache(capacity_points=capacity, stats=stats)
-    arrays = {k: np.arange(k % 45 + 5) for k in range(31)}
-    n_threads = 4
-    gets = [0] * n_threads
-
-    def worker(index):
-        rng = np.random.default_rng((seed, index))
-        for is_get, key in ops:
-            if rng.random() < 0.3:  # thread-local shuffle of the plan
-                is_get = not is_get
-            if is_get:
-                got = cache.get(key)
-                gets[index] += 1
-                if got is not None:
-                    assert got.size == key % 45 + 5
-            else:
-                cache.put(key, arrays[key])
-            assert cache.points <= cache.capacity
-
-    threads = [threading.Thread(target=worker, args=(i,))
-               for i in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(60)
-    assert not any(t.is_alive() for t in threads), "deadlock"
-    counts = cache.stats()
-    assert counts["hits"] + counts["misses"] == sum(gets)
-    assert counts["points"] <= capacity
-    assert stats.cache_hits == counts["hits"]
-    assert stats.cache_misses == counts["misses"]

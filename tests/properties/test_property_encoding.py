@@ -5,18 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.encoding import (
-    decode_gorilla,
     decode_plain,
-    decode_rle,
     decode_ts2diff,
-    encode_gorilla,
     encode_plain,
-    encode_rle,
     encode_ts2diff,
-    encode_unsigned,
-    read_unsigned_varint,
-    zigzag_decode,
-    zigzag_encode,
 )
 
 int64s = st.integers(min_value=-(2 ** 62), max_value=2 ** 62)
@@ -35,44 +27,3 @@ def test_ts2diff_roundtrip(values):
 def test_plain_roundtrip(values):
     arr = np.array(values, dtype=np.float64)
     np.testing.assert_array_equal(decode_plain(encode_plain(arr)), arr)
-
-
-@given(st.lists(floats, max_size=150))
-@settings(max_examples=100, deadline=None)
-def test_gorilla_roundtrip(values):
-    arr = np.array(values, dtype=np.float64)
-    np.testing.assert_array_equal(decode_gorilla(encode_gorilla(arr)), arr)
-
-
-@given(st.lists(st.sampled_from([0.0, 1.5, -3.25, 7.0]), max_size=300))
-@settings(max_examples=100, deadline=None)
-def test_rle_roundtrip_runs(values):
-    arr = np.array(values, dtype=np.float64)
-    np.testing.assert_array_equal(decode_rle(encode_rle(arr)), arr)
-
-
-@given(st.lists(int64s, max_size=200))
-@settings(max_examples=50, deadline=None)
-def test_rle_roundtrip_ints(values):
-    arr = np.array(values, dtype=np.int64)
-    np.testing.assert_array_equal(decode_rle(encode_rle(arr)), arr)
-
-
-@given(st.integers(min_value=0, max_value=2 ** 63 - 1))
-def test_varint_roundtrip(value):
-    decoded, _ = read_unsigned_varint(encode_unsigned(value), 0)
-    assert decoded == value
-
-
-@given(int64s)
-def test_zigzag_roundtrip(value):
-    assert zigzag_decode(zigzag_encode(value)) == value
-
-
-@given(int64s)
-def test_zigzag_magnitude_ordering(value):
-    """Smaller absolute values always get smaller (shorter) codes."""
-    if abs(value) < 2 ** 61:
-        closer = value // 2
-        assert zigzag_encode(closer) <= zigzag_encode(value) \
-            or abs(closer) == abs(value)

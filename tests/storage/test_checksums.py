@@ -1,13 +1,14 @@
 """Checksums, torn-tail policy, v1 compatibility and TsFile salvage."""
 
+import dataclasses
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from repro.errors import CorruptFileError
-from repro.storage import StorageConfig, StorageEngine, write_chunk
+from repro.errors import CorruptFileError, EncodingError
+from repro.storage import StorageConfig, StorageEngine, fsck_store, write_chunk
 from repro.storage import faultfs
 from repro.storage.faultfs import FaultInjector, FaultRule
 from repro.storage.tsfile import (
@@ -289,6 +290,25 @@ class TestV1TsFileCompat:
             assert engine.total_points("a") == len(t) + 1
         finally:
             engine.close()
+
+
+class TestRetiredCodecTags:
+    def test_sealed_file_with_tag_3_fails_open_typed(self, tmp_path):
+        # A store written while GORILLA (tag 3) existed: the metadata
+        # passes its CRC, but the tag names no codec any more.
+        db = tmp_path / "db"
+        with StorageEngine(db) as engine:
+            engine.create_series("a")
+        block, meta, _t, _v = make_chunk(series_id=1, version=1)
+        with TsFileWriter(db / "000001.tsfile") as writer:
+            writer.append_chunk(block,
+                                dataclasses.replace(meta, value_encoding=3))
+        with pytest.raises(EncodingError, match="value_encoding tag 3"):
+            StorageEngine(db)
+        report = fsck_store(db)
+        assert [i["issue"] for i in report.issues
+                if i["severity"] == "error"] \
+            == ["chunk metadata: unknown value_encoding tag 3"]
 
 
 class TestCrcHelpers:

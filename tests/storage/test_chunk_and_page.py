@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import EncodingError, StorageError
 from repro.storage import (
     Compression,
     Encoding,
@@ -78,12 +78,6 @@ class TestWriteChunk:
         assert regression is not None
         assert regression.n_points == t.size
 
-    def test_index_disabled(self):
-        t, v = make_arrays()
-        config = StorageConfig(build_chunk_index=False)
-        _block, meta = write_chunk(1, 1, t, v, config)
-        assert meta.step_regression() is None
-
     def test_empty_chunk_rejected(self):
         with pytest.raises(StorageError):
             write_chunk(1, 1, np.empty(0, dtype=np.int64), np.empty(0))
@@ -106,7 +100,7 @@ class TestChunkMetadataSerialization:
         t, v = make_arrays(130)
         config = StorageConfig(avg_series_point_number_threshold=1000,
                                points_per_page=60,
-                               value_encoding=Encoding.GORILLA,
+                               time_encoding=Encoding.PLAIN,
                                compression=Compression.ZLIB)
         _block, meta = write_chunk(3, 11, t, v, config)
         return meta.located("/tmp/f.tsfile", 4096, 999)
@@ -119,7 +113,7 @@ class TestChunkMetadataSerialization:
 
     def test_roundtrip_preserves_codecs(self, meta):
         out, _ = ChunkMetadata.from_bytes(meta.to_bytes())
-        assert out.value_encoding == Encoding.GORILLA
+        assert out.time_encoding == Encoding.PLAIN
         assert out.compression == Compression.ZLIB
 
     def test_located_fields(self, meta):
@@ -130,6 +124,17 @@ class TestChunkMetadataSerialization:
     def test_truncated_raises(self, meta):
         with pytest.raises(StorageError):
             ChunkMetadata.from_bytes(meta.to_bytes()[:10])
+
+    @pytest.mark.parametrize("field,at", [("time_encoding", 12),
+                                          ("value_encoding", 13),
+                                          ("compression", 14)])
+    def test_retired_tag_raises_encoding_error(self, meta, field, at):
+        # Byte ``at`` of the packed header holds ``field``; tag 3 was
+        # GORILLA (retired) and is not a compression at all.
+        data = bytearray(meta.to_bytes())
+        data[at] = 3
+        with pytest.raises(EncodingError, match="%s tag 3" % field):
+            ChunkMetadata.from_bytes(bytes(data))
 
     def test_page_helpers(self, meta):
         assert meta.page_row_starts().tolist() == [0, 60, 120]

@@ -1,4 +1,4 @@
-"""Unit tests for the page codecs: PLAIN, TS_2DIFF, RLE, GORILLA."""
+"""Unit tests for the page codecs: PLAIN and TS_2DIFF."""
 
 import numpy as np
 import pytest
@@ -7,18 +7,13 @@ from repro.errors import EncodingError
 from repro.storage.encoding import (
     Compression,
     Encoding,
-    decode_gorilla,
     decode_page,
     decode_plain,
-    decode_rle,
     decode_ts2diff,
-    encode_gorilla,
     encode_page,
     encode_plain,
-    encode_rle,
     encode_ts2diff,
     pack_uint64,
-    run_length_split,
     unpack_uint64,
 )
 
@@ -134,67 +129,6 @@ class TestTs2Diff:
             decode_ts2diff(data[:6])
 
 
-class TestRle:
-    def test_run_length_split(self):
-        values, lengths = run_length_split(np.array([5, 5, 7, 7, 7, 5]))
-        assert values.tolist() == [5, 7, 5]
-        assert lengths.tolist() == [2, 3, 1]
-
-    def test_constant_column_is_one_run(self):
-        arr = np.full(10_000, 3.25)
-        encoded = encode_rle(arr)
-        assert len(encoded) < 40
-        np.testing.assert_array_equal(decode_rle(encoded), arr)
-
-    def test_no_runs_roundtrip(self):
-        arr = np.arange(100, dtype=np.float64)
-        np.testing.assert_array_equal(decode_rle(encode_rle(arr)), arr)
-
-    def test_nan_runs_stay_together(self):
-        arr = np.array([1.0, np.nan, np.nan, 2.0])
-        out = decode_rle(encode_rle(arr))
-        np.testing.assert_array_equal(out, arr)
-
-    def test_empty(self):
-        out = decode_rle(encode_rle(np.empty(0, dtype=np.int64)))
-        assert out.size == 0
-
-    def test_int_roundtrip(self):
-        arr = np.repeat(np.array([9, -9, 0], dtype=np.int64), [3, 1, 5])
-        np.testing.assert_array_equal(decode_rle(encode_rle(arr)), arr)
-
-
-class TestGorilla:
-    def test_slowly_varying_roundtrip(self):
-        rng = np.random.default_rng(2)
-        arr = np.cumsum(rng.normal(0, 0.01, 500)) + 100.0
-        np.testing.assert_array_equal(decode_gorilla(encode_gorilla(arr)),
-                                      arr)
-
-    def test_constant_column_compresses(self):
-        arr = np.full(1000, 42.0)
-        encoded = encode_gorilla(arr)
-        assert len(encoded) < 200
-        np.testing.assert_array_equal(decode_gorilla(encoded), arr)
-
-    def test_adversarial_bit_patterns(self):
-        arr = np.array([0.0, -0.0, np.inf, -np.inf, 1e-308, 1e308,
-                        np.pi, -np.pi, 0.1, 0.1])
-        np.testing.assert_array_equal(decode_gorilla(encode_gorilla(arr)),
-                                      arr)
-
-    def test_nan_roundtrip(self):
-        arr = np.array([1.0, np.nan, 2.0])
-        out = decode_gorilla(encode_gorilla(arr))
-        assert np.isnan(out[1]) and out[0] == 1.0 and out[2] == 2.0
-
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_tiny_arrays(self, n):
-        arr = np.linspace(0, 1, n)
-        np.testing.assert_array_equal(decode_gorilla(encode_gorilla(arr)),
-                                      arr)
-
-
 class TestRegistry:
     @pytest.mark.parametrize("encoding", list(Encoding))
     @pytest.mark.parametrize("compression", list(Compression))
@@ -214,10 +148,12 @@ class TestRegistry:
         assert len(packed) < len(plain) / 10
 
     def test_unknown_encoding_rejected(self):
-        with pytest.raises(EncodingError):
-            encode_page(np.zeros(3), 99)
-        with pytest.raises(EncodingError):
-            decode_page(b"", 99)
+        # 2 and 3 were RLE and GORILLA: retired tags are never reused.
+        for tag in (2, 3, 99):
+            with pytest.raises(EncodingError, match="unknown encoding"):
+                encode_page(np.zeros(3), tag)
+            with pytest.raises(EncodingError, match="unknown encoding"):
+                decode_page(b"", tag)
 
     def test_corrupt_zlib_raises(self):
         with pytest.raises(EncodingError):

@@ -7,9 +7,6 @@ arithmetic has to be exact and must pick up new fields automatically.
 
 import dataclasses
 
-import numpy as np
-
-from repro.storage.cache import ChunkCache
 from repro.storage.iostats import IoStats
 
 FIELDS = [f.name for f in dataclasses.fields(IoStats)]
@@ -40,7 +37,7 @@ class TestArithmetic:
         assert all(getattr(a, name) == 1 for name in FIELDS)
 
     def test_add_then_diff_round_trips(self):
-        a = IoStats(pages_decoded=7, cache_hits=3)
+        a = IoStats(pages_decoded=7, index_lookups=3)
         b = IoStats(pages_decoded=2, bytes_read=10)
         assert (a + b).diff(b).as_dict() == a.as_dict()
 
@@ -48,9 +45,9 @@ class TestArithmetic:
         stats = IoStats(metadata_reads=4)
         snap = stats.snapshot()
         stats.metadata_reads = 9
-        snap.cache_misses = 5
+        snap.points_merged = 5
         assert snap.metadata_reads == 4
-        assert stats.cache_misses == 0
+        assert stats.points_merged == 0
 
     def test_reset_zeroes_every_field(self):
         stats = IoStats(**{name: 7 for name in FIELDS})
@@ -59,24 +56,5 @@ class TestArithmetic:
 
     def test_as_dict_matches_fields(self):
         assert set(IoStats().as_dict()) == set(FIELDS)
-        assert IoStats(cache_hits=2).as_dict()["cache_hits"] == 2
+        assert IoStats(index_lookups=2).as_dict()["index_lookups"] == 2
 
-
-class TestCacheWiring:
-    def test_chunk_cache_charges_hits_and_misses(self):
-        stats = IoStats()
-        cache = ChunkCache(capacity_points=100, stats=stats)
-        assert cache.get("k") is None
-        assert (stats.cache_misses, stats.cache_hits) == (1, 0)
-        cache.put("k", np.arange(10))
-        assert cache.get("k") is not None
-        assert (stats.cache_misses, stats.cache_hits) == (1, 1)
-        # The cache's internal counters mirror the shared IoStats.
-        assert cache.misses == 1 and cache.hits == 1
-
-    def test_cache_without_stats_still_counts_internally(self):
-        cache = ChunkCache(capacity_points=100)
-        cache.get("k")
-        cache.put("k", np.arange(10))
-        cache.get("k")
-        assert cache.misses == 1 and cache.hits == 1

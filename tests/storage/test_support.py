@@ -79,5 +79,4 @@ class TestIoStats:
         keys = set(IoStats().as_dict())
         assert {"metadata_reads", "chunk_loads", "pages_decoded",
                 "points_decoded", "points_merged", "bytes_read",
-                "index_lookups", "candidate_iterations",
-                "cache_hits", "cache_misses"} == keys
+                "index_lookups", "candidate_iterations"} == keys

@@ -185,21 +185,6 @@ class TestRecovery:
         assert second.total_points("b") == 61
         second.close()
 
-    def test_wal_disabled_loses_buffered_points_only(self, tmp_path):
-        config = StorageConfig(avg_series_point_number_threshold=50,
-                               points_per_page=25, enable_wal=False)
-        db = tmp_path / "db"
-        engine = StorageEngine(db, config)
-        engine.create_series("a")
-        t = np.arange(60, dtype=np.int64)
-        engine.write_batch("a", t, t.astype(float))  # 50 flushed, 10 lost
-        engine.close()
-        reopened = StorageEngine(db, config)
-        assert reopened.recovery_summary["wal_points"] == 0
-        reopened.flush_all()
-        assert reopened.total_points("a") == 50
-        reopened.close()
-
     def test_fresh_directory_has_no_recovery(self, tmp_path, config):
         engine = StorageEngine(tmp_path / "new", config)
         assert engine.recovery_summary is None

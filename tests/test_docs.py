@@ -1,6 +1,7 @@
 """The docs stay healthy: links resolve, public modules render help,
 backticked ``repro.…`` names resolve, documented CLI flag defaults
-match the parser.
+match the parser, and the storage configuration table matches
+``StorageConfig``.
 
 Thin wrapper over scripts/check_docs.py so the same checks gate both
 CI's docs job and a plain local pytest run.
@@ -30,3 +31,7 @@ def test_dotted_names_resolve():
 
 def test_documented_flag_defaults_match_the_parser():
     assert check_docs.check_flag_defaults() == []
+
+
+def test_documented_config_defaults_match_storage_config():
+    assert check_docs.check_config_defaults() == []
